@@ -1,0 +1,76 @@
+"""Golden outputs: `agectl simulate` replays a fixed spec byte for byte.
+
+The spec runs acp+, lazy and a Poisson source over a multiaccess uplink
+crowded enough to collide, ahead of an exponential station whose small
+buffer drops updates. `golden_simulate.sha256` (sha256sum format) holds
+the expected digest of every file in the output tree. A change that is
+meant to move an output must say why and regenerate that file with
+`sha256sum` over a fresh output tree.
+"""
+
+import hashlib
+from pathlib import Path
+
+from agectl import cli
+
+GOLDEN = Path(__file__).with_name("golden_simulate.sha256")
+
+SPEC = """
+name = golden
+duration = 4
+seed = 11
+repetitions = 1
+sweep_sources = 12
+protocols = acp+,lazy,poisson:40
+warmup_frac = 0.1
+record_trace = true
+
+[multiaccess]
+link_rate = 12e6
+slot = 2.5e-4
+persistence = 0.25
+max_backoff_exp = 5
+per_source_loss = 0.01
+
+[station]
+service = exponential
+rate = 3e6
+buffer = 8
+prop_delay = 0.002
+
+[station]
+service = deterministic
+rate = 6e6
+prop_delay = 0.001
+"""
+
+
+def test_simulate_outputs_match_golden(tmp_path, monkeypatch):
+    results = []
+    run_simulation = cli.run_simulation
+
+    def keep(cfg):
+        results.append(run_simulation(cfg))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_simulation", keep)
+    spec = tmp_path / "spec.txt"
+    spec.write_text(SPEC)
+    assert cli.cmd_simulate(str(spec), str(tmp_path / "runs")) == 0
+
+    # every protocol went through collisions and station drops
+    assert [r.cfg.protocol for r in results] == ["acp+", "lazy", "poisson:40"]
+    for r in results:
+        assert r.channel.collisions > 0
+        assert sum(r.dropped) > r.channel.lost
+
+    top = tmp_path / "runs" / "golden"
+    got = {p.relative_to(top).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in top.rglob("*") if p.is_file()}
+    expected = {}
+    for line in GOLDEN.read_text().splitlines():
+        digest, path = line.split()
+        expected[path] = digest
+    assert sorted(got) == sorted(expected)
+    changed = sorted(p for p in expected if got[p] != expected[p])
+    assert changed == []
