@@ -44,6 +44,7 @@ from .netsim import (
     sweep_min_age,
 )
 from .transport import ProxyConfig, run_monitor, run_proxy, run_source
+from .wire import UPDATE_HEADER_SIZE
 
 # -- spec file parsing
 
@@ -197,7 +198,7 @@ def summarize_run(result, warmup_frac):
     throughput_total = 0.0
     for i in range(cfg.n_sources):
         rows = result.delivery_rows(i)
-        stats = summarize(rows, horizon, cfg.payload_bytes, sent_count=None)
+        stats = summarize(rows, horizon, cfg.payload_bytes, run_start=0.0)
         if stats.delivered_count:
             ages.append(stats.avg_age)
             delays.append(stats.avg_delay)
@@ -330,7 +331,8 @@ def _rollup(rows):
 def cmd_report(run_dir, warmup_frac=0.1):
     run_dir = Path(run_dir)
     monitor_files = sorted(run_dir.glob("monitor*.csv"))
-    ack_files = sorted(run_dir.glob("*acks*.csv"))
+    # endpoint ACK logs, not the age_*.csv traces an earlier report exported
+    ack_files = sorted(p for p in run_dir.glob("*acks*.csv") if not p.name.startswith("age_"))
     if not monitor_files and not ack_files:
         print(f"no endpoint CSVs found in {run_dir}", file=sys.stderr)
         return 1
@@ -401,7 +403,7 @@ def _export_trace(path, trace):
 
 
 def cmd_sweep_min_age(args):
-    mu = args.station_rate_bits / (8 * (19 + args.payload_bytes))
+    mu = args.station_rate_bits / (8 * (UPDATE_HEADER_SIZE + args.payload_bytes))
     rates = args.rates or [round(f * mu, 3) for f in
                            (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)]
     result = sweep_min_age(args.station_rate_bits, rates, args.duration,
@@ -420,10 +422,10 @@ def cmd_rtt_curve(args):
     station = StationConfig(service=args.service, rate=args.rate_bits, buffer=args.buffer)
     loads = args.loads
     if not loads:
-        mu = args.rate_bits / (8 * (19 + args.payload_bytes))
+        mu = args.rate_bits / (8 * (UPDATE_HEADER_SIZE + args.payload_bytes))
         loads = [round(f * mu, 3) for f in (0.1, 0.3, 0.5, 0.7, 0.9, 1.1)]
     curve = rtt_vs_load_curve(station, args.rtt_base, loads, mode=args.mode,
-                              packet_bits=8 * (19 + args.payload_bytes),
+                              packet_bits=8 * (UPDATE_HEADER_SIZE + args.payload_bytes),
                               packets=args.packets, seed=args.seed)
     rows = [(load, "unstable" if math.isinf(rtt) else f"{rtt:.6f}") for load, rtt in curve]
     if args.out:

@@ -58,7 +58,6 @@ class ControllerState:
     prev_age_avg: float | None = None
     prev_backlog_avg: float | None = None
     epoch_index: int = 0
-    epoch_start: float = 0.0
 
     @property
     def epoch_length(self) -> float:

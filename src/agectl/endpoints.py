@@ -223,7 +223,7 @@ class AcpPlusSource(SourceBase):
         self.next_epoch_time = None
 
     def start(self, now: float) -> list:
-        self.controller_state = ControllerState(rate=self.rate, epoch_start=now)
+        self.controller_state = ControllerState(rate=self.rate)
         self.epoch_window = EpochWindow(
             epoch_start=now, anchor_time=now, anchor_age=0.0, backlog_at_start=0
         )
@@ -260,7 +260,7 @@ class AcpPlusSource(SourceBase):
             # epoch accounting from here
             self.in_bootstrap = False
             self.rate = 1.0 / self.estimator.rtt_bar
-            self.controller_state = ControllerState(rate=self.rate, epoch_start=now)
+            self.controller_state = ControllerState(rate=self.rate)
             self.epoch_window = EpochWindow(
                 epoch_start=now,
                 anchor_time=self.first_send_time,
@@ -308,7 +308,6 @@ class AcpPlusSource(SourceBase):
             new_state,
             rate=self.rate,
             epoch_index=k + 1,
-            epoch_start=now,
             prev_age_avg=age_avg,
             prev_backlog_avg=backlog_avg,
         )

@@ -40,14 +40,14 @@ def default_horizon(t_begin: float, t_end: float, warmup_frac: float = DEFAULT_W
     return (t_begin + warmup_frac * (t_end - t_begin), t_end)
 
 
-def age_trace_from_deliveries(log, horizon) -> AgeTrace:
+def age_trace_from_deliveries(log, horizon, run_start=None) -> AgeTrace:
     """Sawtooth from monitor deliveries: resets to r - g at each receive.
 
     log: time-ordered (receive_time, gen_ts_seconds) with strictly
     increasing gen_ts (the monitor already filtered staleness). The age at
     the horizon start continues the trajectory of the freshest update
     delivered before it; before any delivery it ramps from the first
-    update's generation.
+    delivered update's generation, or from `run_start` if that is after t0.
     """
     if not log:
         raise ValueError("empty delivery log")
@@ -67,7 +67,9 @@ def age_trace_from_deliveries(log, horizon) -> AgeTrace:
         freshest_gen = log[0][1]  # ramp from the first generation instant
     anchor_age = t0 - freshest_gen
     if anchor_age < 0:
-        raise ValueError("horizon starts before the first update was generated")
+        if run_start is None:
+            raise ValueError("horizon starts before the first update was generated")
+        anchor_age = t0 - run_start
     return AgeTrace(breakpoints=tuple([(t0, anchor_age)] + points))
 
 
@@ -151,7 +153,8 @@ class SummaryStats:
     loss_fraction: float
 
 
-def summarize(monitor_log, horizon, payload_bytes: int, sent_count=None) -> SummaryStats:
+def summarize(monitor_log, horizon, payload_bytes: int, sent_count=None,
+              run_start=None) -> SummaryStats:
     """Run-level statistics over one source's deliveries within a horizon.
 
     monitor_log: (receive_time, seq, gen_ts_seconds) rows. sent_count, when
@@ -174,7 +177,8 @@ def summarize(monitor_log, horizon, payload_bytes: int, sent_count=None) -> Summ
     else:
         avg_inter_delivery = math.nan
     # build the trace from the full log so the pre-horizon trajectory anchors it
-    trace = age_trace_from_deliveries([(r, g) for r, _, g in monitor_log], (t0, t1))
+    trace = age_trace_from_deliveries([(r, g) for r, _, g in monitor_log], (t0, t1),
+                                      run_start)
     avg_age = time_average_age(trace, (t0, t1))
     if sent_count is None:
         sent_count = rows[-1][1] - rows[0][1] + 1  # seq span within the horizon

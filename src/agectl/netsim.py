@@ -178,9 +178,7 @@ class PoissonSource(SourceBase):
         self.next_send_time = None
 
     def start(self, now):
-        pkt = self._emit(now)
-        self.next_send_time = now + self.rng.expovariate(self.rate)
-        return [pkt]
+        return self.fire(SEND, now)
 
     def timers(self):
         return [(SEND, self.next_send_time)] if self.next_send_time is not None else []
@@ -247,25 +245,28 @@ class MultiaccessChannel:
 
     A packet arriving to an idle channel with no other contender transmits
     at once. Otherwise each station holding a head-of-line packet attempts
-    in a contention slot chosen as backoff-plus-geometric(persistence)
-    idle slots ahead; the earliest attempt wins the channel and ties
-    collide, after which each collider redraws with a binary-exponential
-    backoff window. Collided packets are retried, never lost; the
-    configured per-source loss is applied on successful transmissions
-    instead. Slot countdowns freeze while the channel is busy.
+    after backoff-plus-geometric(persistence) idle slots; the earliest
+    attempt wins the channel and ties collide, after which each collider
+    redraws with a binary-exponential backoff window. Collided packets are
+    retried, never lost; the per-source loss applies to successes instead.
+
+    Countdowns freeze while the channel is busy (the frozen backoff of
+    802.11 DCF), so a frame delays every waiter by the same number of
+    slots. Each waiter keeps one (key, station) entry in a heap and
+    attempts in grid slot key + shift; a frame only advances `shift`.
     """
 
     def __init__(self, evq, cfg: MultiaccessConfig, n_sources, seed, sink,
                  tracer=None, on_drop=None):
         self.evq = evq
         self.cfg = cfg
-        self.n = n_sources
         self.sink = sink  # sink(pkt) on successful (and not lost) transmission
         self.tracer = tracer
         self.on_drop = on_drop
         self.queues = [deque() for _ in range(n_sources)]
         self.attempts = [0] * n_sources
-        self.target = {}  # station -> absolute grid slot of its next attempt
+        self.heap = []  # (key, station): next attempt in grid slot key + shift
+        self.shift = 0
         self.rngs = [random.Random(f"{seed}/ma/{i}") for i in range(n_sources)]
         self.loss_rngs = [random.Random(f"{seed}/ma-loss/{i}") for i in range(n_sources)]
         self.busy_until = 0.0
@@ -283,11 +284,14 @@ class MultiaccessChannel:
             self.tracer(ENQUEUED, pkt)
         if not fresh:
             return  # not head of line yet; targeted when it gets there
-        if now >= self.busy_until and not self.target:
+        if now >= self.busy_until and not self.heap:
             self._transmit([src])  # idle channel, sole contender: go now
         else:
-            self.target[src] = self._slot_after(max(now, self.busy_until)) + self._geom(src)
+            self._wait(src, self._slot_after(max(now, self.busy_until)) + self._geom(src))
             self._schedule_attempt()
+
+    def _wait(self, src, slot):
+        heapq.heappush(self.heap, (slot - self.shift, src))
 
     def _slot_after(self, t):
         return math.ceil(t / self.cfg.slot - 1e-9)
@@ -300,34 +304,31 @@ class MultiaccessChannel:
         u = 1.0 - self.rngs[src].random()  # (0, 1]
         return int(math.log(u) / math.log(1.0 - p))
 
-    def _frame_time(self, bits):
-        return bits / self.cfg.link_rate
-
     def _schedule_attempt(self):
-        if not self.target:
+        if not self.heap:
             return
         self.serial += 1
-        t = min(self.target.values())
+        t = self.heap[0][0] + self.shift
         self.evq.push(t * self.cfg.slot, PRIO_SLOT, self._attempt, self.serial, t)
 
     def _attempt(self, serial, t):
         if serial != self.serial:
             return  # superseded by re-targeting
-        senders = [i for i, ti in self.target.items() if ti == t]
+        senders = []
+        while self.heap and self.heap[0][0] + self.shift == t:
+            senders.append(heapq.heappop(self.heap)[1])
         self._transmit(senders)
 
     def _transmit(self, senders):
         now = self.evq.now
         self.serial += 1  # invalidate any pending attempt event
-        frame = max(self._frame_time(self.queues[i][0][0].bits) for i in senders)
-        self.busy_until = now + frame
+        bits = max(self.queues[i][0][0].bits for i in senders)
+        self.busy_until = now + bits / self.cfg.link_rate
         resume = self._slot_after(self.busy_until)
         attempt_slot = self._slot_after(now)
-        for i in senders:
-            self.target.pop(i, None)
         # stations that lost this round resume their countdown after the frame
-        for i in self.target:
-            self.target[i] = resume + max(self.target[i] - attempt_slot, 1)
+        assert not self.heap or self.heap[0][0] + self.shift > attempt_slot
+        self.shift += resume - attempt_slot
         if len(senders) == 1:
             self.evq.push(self.busy_until, PRIO_PACKET, self._success, senders[0], resume)
         else:
@@ -339,9 +340,7 @@ class MultiaccessChannel:
         self.attempts[src] = 0
         self.access_delays.append(now - enq_time)
         if self.queues[src]:
-            self.target[src] = resume + self._geom(src)
-        else:
-            self.target.pop(src, None)
+            self._wait(src, resume + self._geom(src))
         self._schedule_attempt()
         if self.cfg.per_source_loss and self.loss_rngs[src].random() < self.cfg.per_source_loss:
             self.lost += 1
@@ -355,7 +354,7 @@ class MultiaccessChannel:
         for i in senders:
             self.attempts[i] += 1
             window = 1 << min(self.attempts[i], self.cfg.max_backoff_exp)
-            self.target[i] = resume + self.rngs[i].randrange(window) + self._geom(i)
+            self._wait(i, resume + self.rngs[i].randrange(window) + self._geom(i))
         self._schedule_attempt()
 
 
@@ -415,7 +414,7 @@ class _Network:
         self.monitors = [Monitor() for _ in range(cfg.n_sources)]
         self.timer_marks = [{} for _ in range(cfg.n_sources)]
 
-        tracer = self._trace_packet if cfg.record_trace else None
+        tracer = self._record if cfg.record_trace else None
         seed = cfg.seed
 
         # forward chain: multiaccess -> stations -> monitor
@@ -466,9 +465,6 @@ class _Network:
     def _record(self, kind, pkt):
         if self.trace is not None and pkt.is_update:
             self.trace.append((self.evq.now, pkt.src, kind, pkt.seq))
-
-    def _trace_packet(self, kind, pkt):
-        self._record(kind, pkt)
 
     def _drop_update(self, pkt):
         if pkt.is_update:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from agectl import cli
 from agectl.cli import ExperimentSpec, SpecError, cmd_report, cmd_simulate, main, parse_spec
 
 SPEC_TEXT = """
@@ -129,6 +130,57 @@ class TestSimulateCommand:
         before = (run / "monitor_000.csv").read_bytes()
         cmd_report(str(run))
         assert (run / "monitor_000.csv").read_bytes() == before
+
+
+    def test_report_runs_twice_on_one_directory(self, run_tree, capsys):
+        _, out = run_tree
+        run = out / "sources-002" / "acp+" / "rep01"
+        assert cmd_report(str(run)) == 0
+        first = capsys.readouterr().out
+        assert (run / "age_acks_000.csv").exists()
+        assert cmd_report(str(run)) == 0
+        assert capsys.readouterr().out == first
+
+
+LOSSY_SPEC = """
+name = lossy
+duration = 4
+seed = 11
+sweep_sources = 16
+protocols = acp+,lazy
+
+[multiaccess]
+per_source_loss = 0.01
+slot = 2.5e-4
+max_backoff_exp = 5
+
+[station]
+service = exponential
+rate = 3e6
+buffer = 8
+prop_delay = 0.002
+"""
+
+
+def test_simulate_survives_lost_first_updates(tmp_path, monkeypatch):
+    # some source loses every update generated before the warm-up cut, so
+    # its age at the cut is counted from the start of the run
+    results = []
+    run_simulation = cli.run_simulation
+
+    def keep(cfg):
+        results.append(run_simulation(cfg))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_simulation", keep)
+    spec = tmp_path / "lossy.spec"
+    spec.write_text(LOSSY_SPEC)
+    assert cmd_simulate(str(spec), str(tmp_path)) == 0
+    cut = 0.1 * 4
+    assert any(m.delivery_log[0][2] / 1e9 > cut for r in results for m in r.monitors)
+    rows = list(csv.DictReader(open(tmp_path / "lossy" / "runs.csv")))
+    assert [r["protocol"] for r in rows] == ["acp+", "lazy"]
+    assert all(float(r["avg_age_ms"]) > 0 for r in rows)
 
 
 def test_report_empty_directory_fails(tmp_path):

@@ -56,6 +56,20 @@ class TestAgeTrace:
         # at t0=1.0 the freshest update is the 0.5 delivery: age 1.0 - 0.4
         assert trace.age_at(1.0) == pytest.approx(0.6)
 
+    def test_lost_first_updates_anchor_at_run_start(self):
+        # every update generated before the horizon start 0.75 was lost; the
+        # first delivered one was generated at 1.0
+        log = [(1.25, 1.0), (2.25, 2.0)]
+        with pytest.raises(ValueError, match="horizon starts before"):
+            age_trace_from_deliveries(log, (0.75, 3.0))
+        trace = age_trace_from_deliveries(log, (0.75, 3.0), run_start=0.0)
+        assert trace.breakpoints == ((0.75, 0.75), (1.25, 0.25), (2.25, 0.25))
+
+    def test_run_start_unused_when_first_update_precedes_horizon(self):
+        log = [(1.25, 0.5), (2.25, 2.0)]
+        assert (age_trace_from_deliveries(log, (0.75, 3.0), run_start=0.0)
+                == age_trace_from_deliveries(log, (0.75, 3.0)))
+
     def test_rtt_samples_mode_matches_delivery_mode(self):
         samples = [(0.5, 0.1), (0.8, 0.2), (1.4, 0.15)]
         t1 = age_trace_from_rtt_samples(samples, (0.5, 2.0))
@@ -156,6 +170,15 @@ class TestSummarize:
         stats = summarize([(5.0, 0, 4.9)], (0.0, 1.0), payload_bytes=100)
         assert stats.delivered_count == 0
         assert math.isnan(stats.avg_age)
+
+    def test_run_start_anchors_age_when_first_updates_were_lost(self):
+        rows = [(1.25, 1, 1.0), (2.25, 2, 2.0)]
+        with pytest.raises(ValueError):
+            summarize(rows, (0.75, 3.0), payload_bytes=100)
+        stats = summarize(rows, (0.75, 3.0), payload_bytes=100, run_start=0.0)
+        # ramps 0.75 -> 1.25, 0.25 -> 1.25 and 0.25 -> 1.0
+        assert stats.avg_age == pytest.approx((0.5 + 0.75 + 0.46875) / 2.25)
+        assert stats.delivered_count == 2
 
     def test_explicit_sent_count(self):
         log = [(0.1, 0, 0.0), (0.2, 1, 0.1)]

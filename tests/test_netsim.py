@@ -15,8 +15,10 @@ from agectl.netsim import (
     EXPONENTIAL,
     GENERATED,
     SERVICE_START,
+    MultiaccessChannel,
     MultiaccessConfig,
     SimConfig,
+    SimPacket,
     StationConfig,
     rtt_vs_load_curve,
     run_simulation,
@@ -117,6 +119,58 @@ class TestMultiaccess:
         frac = result.dropped[0] / result.generated[0]
         assert 0.25 < frac < 0.35
         assert result.channel.lost == result.dropped[0]
+
+
+class StubClock:
+    """Event clock for driving one component by hand: pushes are logged and run in order."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.pending = []  # (time, priority, order, fn, args)
+        self.pushed = []  # (time, fn name, args) of every push
+
+    def push(self, time, priority, fn, *args):
+        self.pending.append((time, priority, len(self.pushed), fn, args))
+        self.pushed.append((time, fn.__name__, args))
+
+    def run(self):
+        while self.pending:
+            event = min(self.pending, key=lambda e: e[:3])
+            self.pending.remove(event)
+            self.now, _, _, fn, args = event
+            fn(*args)
+
+
+class GeomDraw:
+    """Random stream whose every draw makes a persistence-1/2 station wait k idle slots."""
+
+    def __init__(self, k):
+        self.u = 1.0 - 0.5 ** (k + 0.5)
+
+    def random(self):
+        return self.u
+
+
+def test_countdown_freezes_while_another_frame_is_on_air():
+    # one-second slots; a 5-bit frame at 2 bit/s is on air for 2.5 slots
+    clock = StubClock()
+    delivered = []
+    channel = MultiaccessChannel(
+        clock, MultiaccessConfig(link_rate=2.0, slot=1.0, persistence=0.5), 3, 0,
+        sink=lambda pkt: delivered.append((clock.now, pkt.src)))
+    channel.rngs = [GeomDraw(0), GeomDraw(0), GeomDraw(4)]
+    channel.accept(0, SimPacket(0, 0, 5, None, True))  # idle channel: on air at once
+    clock.now = 0.5
+    channel.accept(1, SimPacket(1, 0, 5, None, True))  # attempts in slot 3 + 0
+    channel.accept(2, SimPacket(2, 0, 5, None, True))  # attempts in slot 3 + 4
+    clock.run()
+    # station 1 wins slot 3 and its frame ends at 5.5, so the channel is idle
+    # again from slot 6; station 2 still had 7 - 3 = 4 idle slots to count
+    attempts = [args[1] for _, name, args in clock.pushed if name == "_attempt"]
+    assert attempts[-1] == 6 + (7 - 3)
+    assert delivered == [(2.5, 0), (5.5, 1), (12.5, 2)]
+    assert channel.access_delays == [2.5, 5.0, 12.0]
+    assert channel.collisions == 0
 
 
 class TestConservation:
