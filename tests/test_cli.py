@@ -131,7 +131,6 @@ class TestSimulateCommand:
         cmd_report(str(run))
         assert (run / "monitor_000.csv").read_bytes() == before
 
-
     def test_report_runs_twice_on_one_directory(self, run_tree, capsys):
         _, out = run_tree
         run = out / "sources-002" / "acp+" / "rep01"
@@ -176,7 +175,7 @@ def test_simulate_survives_lost_first_updates(tmp_path, monkeypatch):
     spec = tmp_path / "lossy.spec"
     spec.write_text(LOSSY_SPEC)
     assert cmd_simulate(str(spec), str(tmp_path)) == 0
-    cut = 0.1 * 4
+    cut = 0.1 * 4  # default warmup_frac times duration
     assert any(m.delivery_log[0][2] / 1e9 > cut for r in results for m in r.monitors)
     rows = list(csv.DictReader(open(tmp_path / "lossy" / "runs.csv")))
     assert [r["protocol"] for r in rows] == ["acp+", "lazy"]
