@@ -18,8 +18,11 @@ from pathlib import Path
 
 from . import __version__
 from .csvio import (
+    ACK_COLUMNS,
+    MONITOR_COLUMNS,
     SUMMARY_COLUMNS,
     read_ack_log,
+    read_header,
     read_monitor_log,
     write_ack_log,
     write_epoch_log,
@@ -27,6 +30,7 @@ from .csvio import (
     write_rows,
     write_trace,
 )
+from .endpoints import parse_mode
 from .metrics import (
     age_trace_from_deliveries,
     age_trace_from_rtt_samples,
@@ -330,53 +334,48 @@ def _rollup(rows):
 
 def cmd_report(run_dir, warmup_frac=0.1):
     run_dir = Path(run_dir)
-    monitor_files = sorted(run_dir.glob("monitor*.csv"))
-    # endpoint ACK logs, not the age_*.csv traces an earlier report exported
-    ack_files = sorted(p for p in run_dir.glob("*acks*.csv") if not p.name.startswith("age_"))
+    # endpoint logs are told apart by their header row; anything else is skipped
+    headers = {path: read_header(path) for path in sorted(run_dir.glob("*.csv"))}
+    monitor_files = [path for path, h in headers.items() if h == MONITOR_COLUMNS]
+    ack_files = [path for path, h in headers.items() if h == ACK_COLUMNS]
     if not monitor_files and not ack_files:
         print(f"no endpoint CSVs found in {run_dir}", file=sys.stderr)
         return 1
     rows = []
     scatter = []
     errors = 0
-    for path in monitor_files:
+    for path in monitor_files + ack_files:
+        one_way = path in monitor_files
         try:
-            log_rows = read_monitor_log(path)
-        except (ValueError, KeyError, OSError) as exc:
+            log_rows = (read_monitor_log if one_way else read_ack_log)(path)
+        except (ValueError, KeyError, TypeError, OSError) as exc:  # TypeError: short row
             print(f"{path.name}: unreadable ({exc})", file=sys.stderr)
             errors += 1
             continue
-        if not log_rows:
+        if one_way and not log_rows:
             rows.append((path.stem, "one-way", 0, "", "", "", ""))
-            continue
-        deliveries = [(r, s, g / 1e9) for r, s, g in log_rows]
-        t0, t1 = deliveries[0][0], deliveries[-1][0]
-        horizon = default_horizon(t0, t1, warmup_frac)
-        stats = summarize(deliveries, horizon, payload_bytes=1024)
-        trace = age_trace_from_deliveries([(r, g) for r, _, g in deliveries], horizon)
-        _export_trace(run_dir / f"age_{path.stem}.csv", trace)
-        rows.append((path.stem, "one-way", stats.delivered_count,
-                     f"{stats.avg_age * 1e3:.3f}", f"{stats.avg_delay * 1e3:.3f}",
-                     f"{stats.throughput:.0f}", f"{stats.loss_fraction:.4f}"))
-        scatter.append((path.stem, stats.avg_delay * 1e3, stats.avg_age * 1e3, stats.throughput))
-    for path in ack_files:
-        try:
-            acks = read_ack_log(path)
-        except (ValueError, KeyError, OSError) as exc:
-            print(f"{path.name}: unreadable ({exc})", file=sys.stderr)
-            errors += 1
-            continue
-        if len(acks) < 2:
-            continue
-        samples = [(t, rtt) for t, _, rtt in acks]
-        t0, t1 = samples[0][0], samples[-1][0]
-        horizon = default_horizon(t0, t1, warmup_frac)
-        trace = age_trace_from_rtt_samples(samples, horizon)
-        age = time_average_age(trace, horizon)
-        delay = statistics.mean(rtt for _, rtt in samples)
-        _export_trace(run_dir / f"age_{path.stem}.csv", trace)
-        rows.append((path.stem, "rtt-based", len(samples),
-                     f"{age * 1e3:.3f}", f"{delay * 1e3:.3f}", "", ""))
+        elif one_way:
+            deliveries = [(r, s, g / 1e9) for r, s, g in log_rows]
+            t0, t1 = deliveries[0][0], deliveries[-1][0]
+            horizon = default_horizon(t0, t1, warmup_frac)
+            stats = summarize(deliveries, horizon, payload_bytes=1024)
+            trace = age_trace_from_deliveries([(r, g) for r, _, g in deliveries], horizon)
+            _export_trace(run_dir / f"age_{path.stem}.csv", trace)
+            rows.append((path.stem, "one-way", stats.delivered_count,
+                         f"{stats.avg_age * 1e3:.3f}", f"{stats.avg_delay * 1e3:.3f}",
+                         f"{stats.throughput:.0f}", f"{stats.loss_fraction:.4f}"))
+            scatter.append((path.stem, stats.avg_delay * 1e3, stats.avg_age * 1e3,
+                            stats.throughput))
+        elif len(log_rows) > 1:
+            samples = [(t, rtt) for t, _, rtt in log_rows]
+            t0, t1 = samples[0][0], samples[-1][0]
+            horizon = default_horizon(t0, t1, warmup_frac)
+            trace = age_trace_from_rtt_samples(samples, horizon)
+            age = time_average_age(trace, horizon)
+            delay = statistics.mean(rtt for _, rtt in samples)
+            _export_trace(run_dir / f"age_{path.stem}.csv", trace)
+            rows.append((path.stem, "rtt-based", len(samples),
+                         f"{age * 1e3:.3f}", f"{delay * 1e3:.3f}", "", ""))
     header = ("session", "age_mode", "delivered", "avg_age_ms", "avg_delay_ms",
               "throughput_bps", "loss_fraction")
     widths = [max(len(str(r[i])) for r in [header] + rows) for i in range(len(header))]
@@ -435,10 +434,12 @@ def cmd_rtt_curve(args):
     return 0
 
 
-def _parse_mode(text):
-    if text in ("acp+", "lazy") or text.startswith("constant:"):
-        return text
-    raise argparse.ArgumentTypeError(f"bad mode {text!r}: use acp+, lazy or constant:<rate>")
+def _mode_arg(text):
+    try:
+        parse_mode(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def build_parser():
@@ -453,7 +454,7 @@ def build_parser():
 
     p = sub.add_parser("source", help="run a live update source")
     p.add_argument("--peer", required=True)
-    p.add_argument("--mode", type=_parse_mode, default="acp+")
+    p.add_argument("--mode", type=_mode_arg, default="acp+")
     p.add_argument("--duration", type=float, required=True)
     p.add_argument("--payload-bytes", type=int, default=1024)
     p.add_argument("--listen", default=None)

@@ -97,10 +97,7 @@ def control_step(state: ControllerState, inputs: ControlInputs):
             gamma = state.gamma
             action = ControlAction(ActionKind.DEC, -1.0)
         next_state = replace(state, flag=True, gamma=gamma)
-    elif b_up and not age_up:
-        action = ControlAction(ActionKind.INC, 1.0)
-        next_state = replace(state, flag=False, gamma=0)
-    elif not b_up and age_up:
+    elif b_up != age_up:
         action = ControlAction(ActionKind.INC, 1.0)
         next_state = replace(state, flag=False, gamma=0)
     else:

@@ -37,6 +37,15 @@ def write_trace(path, rows):
     write_rows(path, TRACE_COLUMNS, rows)
 
 
+def read_header(path):
+    """The first row of a CSV file as a tuple; () if it is empty or not text."""
+    try:
+        with open(path, newline="") as fh:
+            return tuple(next(csv.reader(fh), ()))
+    except (OSError, UnicodeDecodeError, csv.Error):
+        return ()
+
+
 def read_monitor_log(path):
     """(receive_time, seq, gen_ts_ns) rows."""
     out = []

@@ -14,6 +14,8 @@ contribute to freshness once n is acknowledged.
 """
 
 import logging
+import math
+import random
 from collections import deque
 from dataclasses import replace
 
@@ -38,6 +40,7 @@ FALLBACK = "fallback"
 MODE_ACP_PLUS = "acp+"
 MODE_LAZY = "lazy"
 MODE_CONSTANT = "constant"
+MODE_POISSON = "poisson"
 
 DEFAULT_BOOTSTRAP_RATE = 1.0  # updates/s until the first RTT sample exists
 DEFAULT_INITIAL_TIMEOUT = 1.0  # lazy resend guard before any RTT estimate
@@ -64,12 +67,10 @@ class Monitor:
 class SourceBase:
     """Shared bookkeeping: sequence space, backlog, estimates, logs."""
 
-    mode = None
-
     def __init__(self, payload_bytes=DEFAULT_PAYLOAD_BYTES, alpha=DEFAULT_SMOOTHING):
         self.payload_bytes = payload_bytes
         self.next_seq = 0
-        self.outstanding = deque()  # (seq, gen_ts_seconds), ascending seq
+        self.outstanding = deque()  # (seq, gen_ts_ns), consecutive ascending seqs
         self.highest_acked_seq = None
         self.estimator = NetworkEstimator(alpha)
         self.backlog_trace = []  # (time, backlog) over the whole session
@@ -102,7 +103,7 @@ class SourceBase:
         self.next_seq += 1
         if self.first_send_time is None:
             self.first_send_time = now
-        self.outstanding.append((pkt.seq, now))
+        self.outstanding.append((pkt.seq, pkt.gen_ts))
         self._backlog_changed(now)
         return pkt
 
@@ -117,6 +118,11 @@ class SourceBase:
             return []
         if self.highest_acked_seq is not None and ack.seq <= self.highest_acked_seq:
             self.discarded_acks += 1
+            return []
+        # every seq above the highest acked one is outstanding, in order
+        if ack.gen_ts != self.outstanding[ack.seq - self.outstanding[0][0]][1]:
+            self.violations += 1
+            log.warning("ack for seq %d echoes a gen_ts it was not sent with", ack.seq)
             return []
         gen_seconds = ack.gen_ts / 1e9
         self.estimator.record_ack(now, gen_seconds)
@@ -133,21 +139,22 @@ class SourceBase:
 
 
 class ConstantSource(SourceBase):
-    """Fixed-rate generate-at-will source."""
+    """Generate-at-will source: gaps of 1/rate, or exponential ones drawn from `rng`.
 
-    mode = MODE_CONSTANT
+    With an `rng` this is the memoryless (Poisson) update stream that the
+    queueing experiments assume.
+    """
 
-    def __init__(self, rate: float, **kw):
+    def __init__(self, rate: float, rng=None, **kw):
         super().__init__(**kw)
         if rate <= 0:
             raise ValueError(f"rate must be positive, got {rate}")
         self.rate = rate
+        self.rng = rng
         self.next_send_time = None
 
     def start(self, now: float) -> list:
-        pkt = self._emit(now)
-        self.next_send_time = now + 1.0 / self.rate
-        return [pkt]
+        return self.fire(SEND, now)
 
     def timers(self):
         return [(SEND, self.next_send_time)] if self.next_send_time is not None else []
@@ -155,7 +162,8 @@ class ConstantSource(SourceBase):
     def fire(self, kind, now):
         assert kind == SEND
         pkt = self._emit(now)
-        self.next_send_time = now + 1.0 / self.rate
+        gap = self.rng.expovariate(self.rate) if self.rng else 1.0 / self.rate
+        self.next_send_time = now + gap
         return [pkt]
 
 
@@ -168,8 +176,6 @@ class LazySource(SourceBase):
     flight.
     """
 
-    mode = MODE_LAZY
-
     def __init__(self, initial_timeout=DEFAULT_INITIAL_TIMEOUT, **kw):
         super().__init__(**kw)
         self.initial_timeout = initial_timeout
@@ -180,9 +186,7 @@ class LazySource(SourceBase):
         return rtt if rtt is not None else self.initial_timeout
 
     def start(self, now: float) -> list:
-        pkt = self._emit(now)
-        self.fallback_time = now + self._guard_delay()
-        return [pkt]
+        return self.fire(FALLBACK, now)
 
     def timers(self):
         return [(FALLBACK, self.fallback_time)] if self.fallback_time is not None else []
@@ -211,8 +215,6 @@ class AcpPlusSource(SourceBase):
     rate untouched.
     """
 
-    mode = MODE_ACP_PLUS
-
     def __init__(self, bootstrap_rate=DEFAULT_BOOTSTRAP_RATE, **kw):
         super().__init__(**kw)
         self.rate = bootstrap_rate
@@ -223,14 +225,18 @@ class AcpPlusSource(SourceBase):
         self.next_epoch_time = None
 
     def start(self, now: float) -> list:
+        self._open_epochs(now, anchor_time=now)
+        return [self._emit(now)]
+
+    def _open_epochs(self, now, anchor_time):
+        """Restart control at the current rate, with the first epoch starting now."""
         self.controller_state = ControllerState(rate=self.rate)
         self.epoch_window = EpochWindow(
-            epoch_start=now, anchor_time=now, anchor_age=0.0, backlog_at_start=0
+            epoch_start=now, anchor_time=anchor_time, anchor_age=0.0,
+            backlog_at_start=len(self.outstanding),
         )
-        pkt = self._emit(now)
         self.next_send_time = now + 1.0 / self.rate
         self.next_epoch_time = now + epoch_length(self.rate)
-        return [pkt]
 
     def timers(self):
         out = []
@@ -260,15 +266,7 @@ class AcpPlusSource(SourceBase):
             # epoch accounting from here
             self.in_bootstrap = False
             self.rate = 1.0 / self.estimator.rtt_bar
-            self.controller_state = ControllerState(rate=self.rate)
-            self.epoch_window = EpochWindow(
-                epoch_start=now,
-                anchor_time=self.first_send_time,
-                anchor_age=0.0,
-                backlog_at_start=len(self.outstanding),
-            )
-            self.next_send_time = now + 1.0 / self.rate
-            self.next_epoch_time = now + epoch_length(self.rate)
+            self._open_epochs(now, anchor_time=self.first_send_time)
         self.epoch_window.add_ack(now, rtt)
         return []
 
@@ -321,15 +319,38 @@ class AcpPlusSource(SourceBase):
         )
 
 
-def make_source(mode: str, **kw) -> SourceBase:
-    """Build a source from a mode string: acp+ | lazy | constant:<rate>."""
-    if mode == MODE_ACP_PLUS:
-        return AcpPlusSource(**kw)
-    if mode == MODE_LAZY:
+def parse_mode(mode: str):
+    """(kind, rate) of acp+ | lazy | constant:<rate> | poisson:<rate>; rate is None without one.
+
+    Raises ValueError for an unknown kind or a missing, non-numeric or
+    non-positive rate.
+    """
+    if mode in (MODE_ACP_PLUS, MODE_LAZY):
+        return mode, None
+    kind, _, rate = mode.partition(":")
+    if kind not in (MODE_CONSTANT, MODE_POISSON):
+        raise ValueError(f"unknown mode {mode!r}: use acp+, lazy, constant:<rate> "
+                         "or poisson:<rate>")
+    try:
+        value = float(rate)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise ValueError(f"{kind} mode needs a positive rate, e.g. {kind}:100, got {mode!r}")
+    return kind, value
+
+
+def make_source(mode: str, rng=None, bootstrap_rate=DEFAULT_BOOTSTRAP_RATE, **kw) -> SourceBase:
+    """Build a source from a mode string (see parse_mode).
+
+    `rng` draws a poisson source's gaps (a fresh random.Random() if None),
+    and `bootstrap_rate` is acp+'s rate until its first RTT sample.
+    """
+    kind, rate = parse_mode(mode)
+    if kind == MODE_ACP_PLUS:
+        return AcpPlusSource(bootstrap_rate=bootstrap_rate, **kw)
+    if kind == MODE_LAZY:
         return LazySource(**kw)
-    if mode.startswith(MODE_CONSTANT):
-        _, _, rate = mode.partition(":")
-        if not rate:
-            raise ValueError("constant mode needs a rate, e.g. constant:100")
-        return ConstantSource(rate=float(rate), **kw)
-    raise ValueError(f"unknown source mode {mode!r}")
+    if kind == MODE_POISSON:
+        return ConstantSource(rate, rng=rng or random.Random(), **kw)
+    return ConstantSource(rate, **kw)

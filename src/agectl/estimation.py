@@ -9,6 +9,8 @@ time-average backlog over that epoch.
 
 from dataclasses import dataclass, field
 
+from .metrics import AgeTrace, step_average, time_average_age
+
 DEFAULT_SMOOTHING = 0.875  # retention weight on the previous estimate
 
 
@@ -97,51 +99,17 @@ class EpochWindow:
             raise ValueError(f"negative backlog {backlog}")
         self.backlog_steps.append((time, backlog))
 
-    def age_at(self, t: float) -> float:
-        """Instantaneous age estimate at time t (within or after the window)."""
-        ref_time, ref_age = self.anchor_time, self.anchor_age
-        for ack_time, rtt in self.ack_events:
-            if ack_time > t:
-                break
-            ref_time, ref_age = ack_time, rtt
-        return ref_age + (t - ref_time)
-
     def age_average(self, epoch_end: float) -> float:
         """Time-average of the age sawtooth over [epoch_start, epoch_end]."""
         if not self.ack_events:
             raise NoSamples("no ACKs in this epoch")
-        if epoch_end <= self.epoch_start:
-            raise ValueError("epoch_end must exceed epoch_start")
-        total = 0.0
-        t = self.epoch_start
-        age = self.anchor_age + (self.epoch_start - self.anchor_time)
-        for ack_time, rtt in self.ack_events:
-            if ack_time > t:
-                # ramp of slope 1 from `age` over [t, ack_time]
-                d = ack_time - t
-                total += age * d + 0.5 * d * d
-                t = ack_time
-            age = rtt
-        if epoch_end > t:
-            d = epoch_end - t
-            total += age * d + 0.5 * d * d
-        return total / (epoch_end - self.epoch_start)
+        start_age = self.anchor_age + (self.epoch_start - self.anchor_time)
+        trace = AgeTrace(((self.epoch_start, start_age), *self.ack_events))
+        return time_average_age(trace, (self.epoch_start, epoch_end))
 
     def backlog_average(self, epoch_end: float) -> float:
         """Time-weighted mean of the backlog step function over the epoch."""
-        if epoch_end <= self.epoch_start:
-            raise ValueError("epoch_end must exceed epoch_start")
-        total = 0.0
-        t = self.epoch_start
-        level = self.backlog_steps[0][1]
-        for step_time, backlog in self.backlog_steps:
-            if step_time > t:
-                total += level * (step_time - t)
-                t = step_time
-            level = backlog
-        if epoch_end > t:
-            total += level * (epoch_end - t)
-        return total / (epoch_end - self.epoch_start)
+        return step_average(self.backlog_steps, self.epoch_start, epoch_end)
 
     def roll(self, epoch_end: float) -> "EpochWindow":
         """Open the next window, carrying the sawtooth anchor and backlog level."""

@@ -40,6 +40,24 @@ def default_horizon(t_begin: float, t_end: float, warmup_frac: float = DEFAULT_W
     return (t_begin + warmup_frac * (t_end - t_begin), t_end)
 
 
+def _split_at_horizon(log, horizon):
+    """The last entry at or before the horizon start (or None) and the entries inside it."""
+    if not log:
+        raise ValueError("empty log")
+    t0, t1 = horizon
+    if t1 <= t0:
+        raise ValueError("empty horizon")
+    before, inside = None, []
+    for entry in log:
+        if entry[0] <= t0:
+            before = entry
+        elif entry[0] <= t1:
+            inside.append(entry)
+        else:
+            break
+    return before, inside
+
+
 def age_trace_from_deliveries(log, horizon, run_start=None) -> AgeTrace:
     """Sawtooth from monitor deliveries: resets to r - g at each receive.
 
@@ -49,28 +67,16 @@ def age_trace_from_deliveries(log, horizon, run_start=None) -> AgeTrace:
     delivered before it; before any delivery it ramps from the first
     delivered update's generation, or from `run_start` if that is after t0.
     """
-    if not log:
-        raise ValueError("empty delivery log")
-    t0, t1 = horizon
-    if t1 <= t0:
-        raise ValueError("empty horizon")
-    freshest_gen = None
-    points = []
-    for r, g in log:
-        if r <= t0:
-            freshest_gen = g
-            continue
-        if r > t1:
-            break
-        points.append((r, r - g))
-    if freshest_gen is None:
-        freshest_gen = log[0][1]  # ramp from the first generation instant
+    before, inside = _split_at_horizon(log, horizon)
+    t0 = horizon[0]
+    # with no delivery before t0, ramp from the first generation instant
+    freshest_gen = (before or log[0])[1]
     anchor_age = t0 - freshest_gen
     if anchor_age < 0:
         if run_start is None:
             raise ValueError("horizon starts before the first update was generated")
         anchor_age = t0 - run_start
-    return AgeTrace(breakpoints=tuple([(t0, anchor_age)] + points))
+    return AgeTrace(breakpoints=tuple([(t0, anchor_age)] + [(r, r - g) for r, g in inside]))
 
 
 def age_trace_from_rtt_samples(ack_log, horizon) -> AgeTrace:
@@ -78,15 +84,20 @@ def age_trace_from_rtt_samples(ack_log, horizon) -> AgeTrace:
 
     ack_log: time-ordered (ack_time, rtt_seconds). This is the round-trip
     approximation of age used when only the source clock is available.
+    The age at the horizon start continues from the last ACK before it.
     """
-    return age_trace_from_deliveries([(t, t - rtt) for t, rtt in ack_log], horizon)
+    before, inside = _split_at_horizon(ack_log, horizon)
+    t0 = horizon[0]
+    ack_time, rtt = before or ack_log[0]
+    anchor_age = rtt + (t0 - ack_time)
+    if anchor_age < 0:
+        raise ValueError("horizon starts before the first update was generated")
+    return AgeTrace(breakpoints=tuple([(t0, anchor_age)] + inside))
 
 
-def time_average_age(trace: AgeTrace, horizon=None) -> float:
-    """Exact trapezoid integral of the sawtooth divided by the horizon."""
+def time_average_age(trace: AgeTrace, horizon) -> float:
+    """Exact trapezoid integral of the sawtooth over the horizon, divided by its length."""
     pts = trace.breakpoints
-    if horizon is None:
-        horizon = (pts[0][0], pts[-1][0])
     t0, t1 = horizon
     if t1 <= t0:
         raise ValueError("empty horizon")

@@ -19,7 +19,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .endpoints import EPOCH, SEND, Monitor, SourceBase, make_source
+from .endpoints import EPOCH, Monitor, make_source
 from .metrics import (
     age_trace_from_deliveries,
     default_horizon,
@@ -66,13 +66,6 @@ class EventQueue:
             self.now = time
             fn(*args)
         self.now = t_end
-
-    def drain(self):
-        heap = self._heap
-        while heap:
-            time, _, _, fn, args = heapq.heappop(heap)
-            self.now = time
-            fn(*args)
 
 
 @dataclass(frozen=True)
@@ -158,36 +151,6 @@ class SimPacket:
         self.bits = bits
         self.wire = wire
         self.is_update = is_update
-
-
-class PoissonSource(SourceBase):
-    """Memoryless generate-at-will source: exponential gaps at a fixed rate.
-
-    Simulation-only load generator (mode string "poisson:<rate>"); it feeds
-    the queueing experiments that assume Poisson update streams.
-    """
-
-    mode = "poisson"
-
-    def __init__(self, rate, rng, **kw):
-        super().__init__(**kw)
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
-        self.rate = rate
-        self.rng = rng
-        self.next_send_time = None
-
-    def start(self, now):
-        return self.fire(SEND, now)
-
-    def timers(self):
-        return [(SEND, self.next_send_time)] if self.next_send_time is not None else []
-
-    def fire(self, kind, now):
-        assert kind == SEND
-        pkt = self._emit(now)
-        self.next_send_time = now + self.rng.expovariate(self.rate)
-        return [pkt]
 
 
 class StationQueue:
@@ -398,19 +361,12 @@ class _Network:
         self.update_bits = (UPDATE_HEADER_SIZE + cfg.payload_bytes) * 8
         self.ack_bits = ACK_SIZE * 8
 
-        self.sources = []
-        for i in range(cfg.n_sources):
-            kw = dict(payload_bytes=cfg.payload_bytes, alpha=cfg.alpha)
-            mode = cfg.mode_for(i)
-            if mode == "acp+":
-                kw["bootstrap_rate"] = cfg.bootstrap_rate
-            if mode.startswith("poisson"):
-                _, _, rate = mode.partition(":")
-                src = PoissonSource(rate=float(rate),
-                                    rng=random.Random(f"{cfg.seed}/source/{i}"), **kw)
-            else:
-                src = make_source(mode, **kw)
-            self.sources.append(src)
+        self.sources = [
+            make_source(cfg.mode_for(i), rng=random.Random(f"{cfg.seed}/source/{i}"),
+                        bootstrap_rate=cfg.bootstrap_rate,
+                        payload_bytes=cfg.payload_bytes, alpha=cfg.alpha)
+            for i in range(cfg.n_sources)
+        ]
         self.monitors = [Monitor() for _ in range(cfg.n_sources)]
         self.timer_marks = [{} for _ in range(cfg.n_sources)]
 
@@ -605,7 +561,7 @@ class _LoadProbe:
 
     def mean_system_time(self):
         self.evq.push(0.0, PRIO_TIMER, self._arrive)
-        self.evq.drain()
+        self.evq.run_until(math.inf)
         return self.total / self.counted
 
 
@@ -638,18 +594,16 @@ def rtt_vs_load_curve(station_cfg, rtt_base, loads, mode="analytic",
                 station_cfg, load, packets, seed=f"{seed}/load{load}",
                 packet_bits=packet_bits,
             )
+        elif load >= mu and station_cfg.buffer is None:
+            rtt = math.inf  # unstable point
         elif station_cfg.service == DETERMINISTIC:
             if load < mu:
                 rtt = rtt_base
-            elif station_cfg.buffer is None:
-                rtt = math.inf  # unstable point
             else:
                 rtt = rtt_base + (station_cfg.buffer - 1) / mu
         else:
             if load < mu:
                 rtt = rtt_base + 1.0 / (mu - load)
-            elif station_cfg.buffer is None:
-                rtt = math.inf  # unstable point
             else:
                 rtt = rtt_base + station_cfg.buffer / mu
         out.append((load, rtt))

@@ -45,44 +45,65 @@ def _parse_addr(text):
     return (host or "127.0.0.1", int(port))
 
 
+def _bound_socket(addr):
+    """A non-blocking UDP socket bound to addr ("host:port" or a tuple)."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        sock.bind(_parse_addr(addr) if isinstance(addr, str) else addr)
+    except OSError:
+        sock.close()
+        raise
+    sock.setblocking(False)
+    return sock
+
+
+def _wait_readable(socks, timeout):
+    """Sockets with datagrams waiting, after at most min(timeout, _POLL) seconds."""
+    return select.select(socks, [], [], max(0.0, min(timeout, _POLL)))[0]
+
+
+def _drain(readable):
+    """Yield (sock, data, addr) for each datagram waiting on the non-blocking sockets."""
+    for sock in readable:
+        while True:
+            try:
+                data, addr = sock.recvfrom(65535)
+            except (BlockingIOError, InterruptedError):
+                break
+            yield sock, data, addr
+
+
 def run_source(peer, mode, duration, out, payload_bytes=DEFAULT_PAYLOAD_BYTES,
                alpha=DEFAULT_SMOOTHING, listen=None, stop=None):
     """Drive an update source against a remote monitor; returns exit status.
 
     Writes the per-epoch controller log to `out` and the per-ACK RTT
     samples next to it (needed to estimate age when only this end's clock
-    is trusted).
+    is trusted). The socket stays unconnected, so an ICMP error from the
+    peer cannot end the session; forged ACKs are counted and dropped.
     """
     peer_addr = _parse_addr(peer) if isinstance(peer, str) else peer
-    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     try:
-        sock.bind(_parse_addr(listen) if listen else ("0.0.0.0", 0))
-        sock.setblocking(False)
-        source = make_source(mode, payload_bytes=payload_bytes, alpha=alpha)
-        decode_errors = 0
-        t0 = time.monotonic()
+        with _bound_socket(listen or ("0.0.0.0", 0)) as sock:
+            source = make_source(mode, payload_bytes=payload_bytes, alpha=alpha)
+            decode_errors = 0
+            t0 = time.monotonic()
 
-        def send_all(packets):
-            for pkt in packets:
-                sock.sendto(encode_update(pkt), peer_addr)
+            def send_all(packets):
+                for pkt in packets:
+                    sock.sendto(encode_update(pkt), peer_addr)
 
-        if duration > 0:
-            send_all(source.start(0.0))
-        while True:
-            now = time.monotonic() - t0
-            if now >= duration or (stop is not None and stop.is_set()):
-                break
-            deadlines = [t for _, t in source.timers()]
-            timeout = min(deadlines) - now if deadlines else _POLL
-            readable, _, _ = select.select([sock], [], [],
-                                           max(0.0, min(timeout, duration - now, _POLL)))
-            now = time.monotonic() - t0
-            if readable:
-                while True:
-                    try:
-                        data, _ = sock.recvfrom(65535)
-                    except (BlockingIOError, InterruptedError):
-                        break
+            if duration > 0:
+                send_all(source.start(0.0))
+            while True:
+                now = time.monotonic() - t0
+                if now >= duration or (stop is not None and stop.is_set()):
+                    break
+                deadlines = [t for _, t in source.timers()]
+                timeout = min(deadlines) - now if deadlines else _POLL
+                readable = _wait_readable([sock], min(timeout, duration - now))
+                now = time.monotonic() - t0
+                for _, data, _ in _drain(readable):
                     try:
                         ack = decode_ack(data)
                     except WireError as exc:
@@ -90,59 +111,48 @@ def run_source(peer, mode, duration, out, payload_bytes=DEFAULT_PAYLOAD_BYTES,
                         log.debug("undecodable ack datagram: %s", exc)
                         continue
                     send_all(source.on_ack(ack, now))
-            while True:
-                now = time.monotonic() - t0
-                due = [(t, kind) for kind, t in source.timers() if t <= now]
-                if not due:
-                    break
-                _, kind = min(due)
-                send_all(source.fire(kind, now))
+                while True:
+                    now = time.monotonic() - t0
+                    due = [(t, kind) for kind, t in source.timers() if t <= now]
+                    if not due:
+                        break
+                    _, kind = min(due)
+                    send_all(source.fire(kind, now))
         write_epoch_log(out, source.epoch_rows)
         write_ack_log(ack_csv_path(out), source.ack_log)
         if decode_errors:
             log.warning("%d undecodable datagrams ignored", decode_errors)
         if source.violations:
-            log.warning("%d acks for never-sent sequence numbers", source.violations)
+            log.warning("%d acks for never-sent updates dropped", source.violations)
         return 0
     except OSError as exc:
         log.error("source socket failure: %s", exc)
         return 1
-    finally:
-        sock.close()
 
 
 def run_monitor(listen, duration, out, stop=None):
     """Receive updates, ACK the fresh ones, log deliveries; returns exit status."""
-    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     try:
-        sock.bind(_parse_addr(listen) if isinstance(listen, str) else listen)
-        sock.setblocking(False)
-        monitor = Monitor()
-        decode_errors = 0
-        t0 = time.monotonic()
-        while True:
-            now = time.monotonic() - t0
-            if now >= duration or (stop is not None and stop.is_set()):
-                break
-            readable, _, _ = select.select([sock], [], [],
-                                           max(0.0, min(duration - now, _POLL)))
-            now = time.monotonic() - t0
-            if not readable:
-                continue
+        with _bound_socket(listen) as sock:
+            monitor = Monitor()
+            decode_errors = 0
+            t0 = time.monotonic()
             while True:
-                try:
-                    data, addr = sock.recvfrom(65535)
-                except (BlockingIOError, InterruptedError):
+                now = time.monotonic() - t0
+                if now >= duration or (stop is not None and stop.is_set()):
                     break
-                try:
-                    pkt = decode_update(data)
-                except WireError as exc:
-                    decode_errors += 1
-                    log.debug("undecodable update datagram: %s", exc)
-                    continue
-                ack = monitor.on_update(pkt, now)
-                if ack is not None:
-                    sock.sendto(encode_ack(ack), addr)
+                readable = _wait_readable([sock], duration - now)
+                now = time.monotonic() - t0
+                for _, data, addr in _drain(readable):
+                    try:
+                        pkt = decode_update(data)
+                    except WireError as exc:
+                        decode_errors += 1
+                        log.debug("undecodable update datagram: %s", exc)
+                        continue
+                    ack = monitor.on_update(pkt, now)
+                    if ack is not None:
+                        sock.sendto(encode_ack(ack), addr)
         write_monitor_log(out, monitor.delivery_log)
         if decode_errors:
             log.warning("%d undecodable datagrams ignored", decode_errors)
@@ -152,8 +162,6 @@ def run_monitor(listen, duration, out, stop=None):
     except OSError as exc:
         log.error("monitor socket failure: %s", exc)
         return 1
-    finally:
-        sock.close()
 
 
 @dataclass
@@ -207,45 +215,35 @@ def run_proxy(cfg: ProxyConfig, duration=None, stop=None, stats=None):
     losses = cfg.pair(cfg.loss)
     stats = stats if stats is not None else ProxyStats()
 
-    sock_src = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)  # faces the source
-    sock_mon = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)  # faces the monitor
     try:
-        sock_src.bind(_parse_addr(cfg.listen))
-        sock_mon.bind(("0.0.0.0", 0))
-        for s in (sock_src, sock_mon):
-            s.setblocking(False)
-        forward_addr = _parse_addr(cfg.forward)
-        source_addr = None  # learned from the first forward datagram
+        with _bound_socket(cfg.listen) as sock_src, _bound_socket(("0.0.0.0", 0)) as sock_mon:
+            # sock_src faces the source, sock_mon the monitor
+            forward_addr = _parse_addr(cfg.forward)
+            source_addr = None  # learned from the first forward datagram
 
-        heap = []  # (release_time, counter, out_sock, out_addr, data)
-        counter = 0
-        last_release = [0.0, 0.0]
-        t0 = time.monotonic()
+            heap = []  # (release_time, counter, direction, (out_sock, out_addr), data)
+            counter = 0
+            last_release = [0.0, 0.0]
+            t0 = time.monotonic()
 
-        def sample_delay(direction):
-            mean = delays[direction]
-            if cfg.delay_dist == CONSTANT or mean == 0:
-                return mean
-            return rng.expovariate(1.0 / mean)
+            def sample_delay(direction):
+                mean = delays[direction]
+                if cfg.delay_dist == CONSTANT or mean == 0:
+                    return mean
+                return rng.expovariate(1.0 / mean)
 
-        while True:
-            now = time.monotonic() - t0
-            if stop is not None and stop.is_set():
-                break
-            if duration is not None and now >= duration:
-                break
-            timeout = heap[0][0] - now if heap else _POLL
-            if duration is not None:
-                timeout = min(timeout, duration - now)
-            readable, _, _ = select.select([sock_src, sock_mon], [], [],
-                                           max(0.0, min(timeout, _POLL)))
-            now = time.monotonic() - t0
-            for s in readable:
-                while True:
-                    try:
-                        data, addr = s.recvfrom(65535)
-                    except (BlockingIOError, InterruptedError):
-                        break
+            while True:
+                now = time.monotonic() - t0
+                if stop is not None and stop.is_set():
+                    break
+                if duration is not None and now >= duration:
+                    break
+                timeout = heap[0][0] - now if heap else _POLL
+                if duration is not None:
+                    timeout = min(timeout, duration - now)
+                readable = _wait_readable([sock_src, sock_mon], timeout)
+                now = time.monotonic() - t0
+                for s, data, addr in _drain(readable):
                     if s is sock_src:
                         direction = 0
                         source_addr = addr
@@ -265,18 +263,15 @@ def run_proxy(cfg: ProxyConfig, duration=None, stop=None, stats=None):
                         last_release[direction] = release
                     counter += 1
                     heapq.heappush(heap, (release, counter, direction, out, data))
-            now = time.monotonic() - t0
-            while heap and heap[0][0] <= now:
-                _, _, direction, (out_sock, out_addr), data = heapq.heappop(heap)
-                try:
-                    out_sock.sendto(data, out_addr)
-                    stats.forwarded[direction] += 1
-                except OSError as exc:
-                    log.warning("proxy send failed: %s", exc)
+                now = time.monotonic() - t0
+                while heap and heap[0][0] <= now:
+                    _, _, direction, (out_sock, out_addr), data = heapq.heappop(heap)
+                    try:
+                        out_sock.sendto(data, out_addr)
+                        stats.forwarded[direction] += 1
+                    except OSError as exc:
+                        log.warning("proxy send failed: %s", exc)
         return 0
     except OSError as exc:
         log.error("proxy socket failure: %s", exc)
         return 1
-    finally:
-        sock_src.close()
-        sock_mon.close()

@@ -1,0 +1,59 @@
+"""The benchmark's traced run still finds every agectl name it patches.
+
+`perfbench/run.py --trace 1` wraps agectl's layer functions in timing spans
+by looking them up by name (`instrument()`), and the live workload swaps
+`transport.make_source` and `transport.Monitor`. A refactor that renames or
+removes one of them breaks the benchmark without failing any other test.
+This runs `instrument()` around one small simulation, checks that every
+layer it patches was entered, and that `restore()` puts the originals back.
+"""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import run as bench  # noqa: E402
+from tracer import Tracer  # noqa: E402
+
+from agectl import endpoints, estimation, netsim, transport  # noqa: E402
+
+SPANS = (
+    "endpoints.fire", "endpoints.on_ack", "endpoints.monitor_on_update",
+    "estimation.record_ack", "estimation.age_average", "estimation.backlog_average",
+    "controller.control_step", "controller.update_lambda",
+    "netsim.station", "netsim.channel", "netsim.timer", "netsim.delivery",
+)
+
+
+def small_config():
+    station = netsim.StationConfig(service=netsim.EXPONENTIAL, rate=3e6, buffer=8,
+                                   prop_delay=0.002)
+    return netsim.SimConfig(
+        stations=(station,), n_sources=3, protocol="acp+,lazy,poisson:40", duration=3.0,
+        seed=5, multiaccess=netsim.MultiaccessConfig(slot=2.5e-4), record_trace=False,
+    )
+
+
+def test_instrument_spans_every_layer_and_restores():
+    patched = [
+        (netsim.EventQueue, "push"), (endpoints.SourceBase, "on_ack"),
+        (estimation.EpochWindow, "age_average"), (estimation.EpochWindow, "backlog_average"),
+        (endpoints, "control_step"), (transport, "encode_update"), (transport, "decode_ack"),
+    ]
+    originals = [getattr(owner, name) for owner, name in patched]
+    tracer = Tracer()
+    bench.instrument(tracer)
+    try:
+        netsim.run_simulation(small_config())
+    finally:
+        tracer.restore()
+    totals = tracer.totals()
+    assert [span for span in SPANS if totals.get(span, (0,))[0] == 0] == []
+    assert [getattr(owner, name) for owner, name in patched] == originals
+
+
+def test_live_workload_names_exist():
+    # loopback_session() replaces these two module globals to keep the objects
+    assert transport.make_source is endpoints.make_source
+    assert transport.Monitor is endpoints.Monitor

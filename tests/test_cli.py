@@ -4,7 +4,16 @@ import json
 import pytest
 
 from agectl import cli
-from agectl.cli import ExperimentSpec, SpecError, cmd_report, cmd_simulate, main, parse_spec
+from agectl.cli import (
+    ExperimentSpec,
+    SpecError,
+    build_parser,
+    cmd_report,
+    cmd_simulate,
+    main,
+    parse_spec,
+)
+from agectl.csvio import write_ack_log, write_epoch_log, write_monitor_log
 
 SPEC_TEXT = """
 name = tiny
@@ -190,6 +199,47 @@ def test_main_rejects_bad_mode(tmp_path):
     with pytest.raises(SystemExit):
         main(["source", "--peer", "127.0.0.1:1", "--mode", "tcp",
               "--duration", "0", "--out", str(tmp_path / "x.csv")])
+
+
+@pytest.mark.parametrize("mode", ["constant:abc", "constant:0", "constant", "poisson:-1"])
+def test_source_mode_without_a_positive_rate_exits_2(mode, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["source", "--peer", "127.0.0.1:1", "--mode", mode,
+                                   "--duration", "1", "--out", "x.csv"])
+    assert exc.value.code == 2
+    assert "--mode" in capsys.readouterr().err
+
+
+def test_source_accepts_poisson_mode(tmp_path):
+    out = tmp_path / "src.csv"
+    assert main(["source", "--peer", "127.0.0.1:1", "--mode", "poisson:50",
+                 "--duration", "0", "--out", str(out)]) == 0
+    assert out.exists()
+
+
+def test_report_finds_logs_by_header_under_readme_names(tmp_path, capsys):
+    # the README's live session writes mon.csv, src.csv and src_acks.csv
+    write_monitor_log(tmp_path / "mon.csv",
+                      [(0.1 * k + 0.02, k, round(0.1 * k * 1e9)) for k in range(50)])
+    write_ack_log(tmp_path / "src_acks.csv", [(0.1 * k + 0.04, k, 0.04) for k in range(50)])
+    write_epoch_log(tmp_path / "src.csv", [])
+    assert cmd_report(str(tmp_path)) == 0
+    sessions = [line.split()[:2] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert sessions == [["mon", "one-way"], ["src_acks", "rtt-based"]]
+    # a second report skips its own exports, which are not endpoint logs
+    assert (tmp_path / "age_mon.csv").exists() and (tmp_path / "age_src_acks.csv").exists()
+    assert cmd_report(str(tmp_path)) == 0
+    sessions = [line.split()[:2] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert sessions == [["mon", "one-way"], ["src_acks", "rtt-based"]]
+
+
+def test_report_flags_a_truncated_log_as_unreadable(tmp_path, capsys):
+    (tmp_path / "mon.csv").write_text("receive_time,seq,gen_ts\n0.1,0,100000000\n0.2,1\n")
+    write_ack_log(tmp_path / "src_acks.csv", [(0.1 * k + 0.04, k, 0.04) for k in range(5)])
+    assert cmd_report(str(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert "mon.csv: unreadable" in captured.err
+    assert "src_acks" in captured.out
 
 
 def test_rtt_curve_cli(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from agectl.endpoints import (
@@ -9,6 +11,7 @@ from agectl.endpoints import (
     LazySource,
     Monitor,
     make_source,
+    parse_mode,
 )
 from agectl.wire import AckPacket, UpdatePacket
 
@@ -101,6 +104,17 @@ class TestAckHandling:
         assert src.on_ack(AckPacket(seq=99, gen_ts=0), 5.0) == []
         assert src.violations == 1
         assert src.highest_acked_seq is None
+
+    def test_forged_gen_ts_is_dropped_as_violation(self):
+        # a sent seq with a gen_ts in the future used to raise ClockAnomaly
+        src, pkts = self.make_source_with_sends(3)
+        assert src.on_ack(AckPacket(seq=0, gen_ts=10**12), 0.5) == []
+        assert src.on_ack(AckPacket(seq=2, gen_ts=pkts[2].gen_ts + 1), 3.0) == []
+        assert src.violations == 2
+        assert src.ack_log == [] and src.backlog == 3
+        assert src.highest_acked_seq is None
+        src.on_ack(ack_for(pkts[1]), 3.0)  # the genuine ACK still counts
+        assert src.highest_acked_seq == 1 and src.backlog == 1
 
     def test_zero_loss_in_order_every_update_acked_once(self):
         src = ConstantSource(rate=10.0)
@@ -239,3 +253,45 @@ def test_make_source_modes():
         make_source("constant")
     with pytest.raises(ValueError):
         make_source("tcp")
+
+
+def test_parse_mode():
+    assert parse_mode("acp+") == ("acp+", None)
+    assert parse_mode("lazy") == ("lazy", None)
+    assert parse_mode("constant:250") == ("constant", 250.0)
+    assert parse_mode("poisson:0.5") == ("poisson", 0.5)
+    for bad in ("constant", "constant:", "constant:abc", "constant:0", "poisson:-1",
+                "poisson:nan", "poisson:inf", "tcp", "lazy:3", "Constant:5"):
+        with pytest.raises(ValueError):
+            parse_mode(bad)
+
+
+def poisson_deadlines(src, n):
+    src.start(0.0)
+    deadlines = []
+    for _ in range(n):
+        ((_, t),) = src.timers()
+        deadlines.append(t)
+        src.fire(SEND, t)
+    return deadlines
+
+
+def test_poisson_mode_draws_exponential_gaps_from_rng():
+    src = make_source("poisson:1000", rng=random.Random(3))
+    assert isinstance(src, ConstantSource) and src.rate == 1000.0
+    deadlines = poisson_deadlines(src, 2000)
+    draws = random.Random(3)
+    expected = [0.0]
+    for _ in range(3):
+        expected.append(expected[-1] + draws.expovariate(1000.0))
+    assert deadlines[:3] == expected[1:]
+    assert deadlines[-1] / len(deadlines) == pytest.approx(1e-3, rel=0.1)
+    # without an rng it seeds its own, so a live source can run it
+    live = poisson_deadlines(make_source("poisson:1000"), 20)
+    gaps = [b - a for a, b in zip([0.0] + live, live)]
+    assert len(set(gaps)) == 20 and min(gaps) > 0
+
+
+def test_make_source_bootstrap_rate_reaches_acp_only():
+    assert make_source("acp+", bootstrap_rate=4.0).rate == 4.0
+    assert make_source("constant:2", bootstrap_rate=4.0).rate == 2.0

@@ -182,11 +182,14 @@ class TestRoll:
         assert nxt.epoch_start == 1.0
         assert nxt.anchor_time == 0.7 and nxt.anchor_age == 0.05
         assert nxt.backlog_steps[0] == (1.0, 4)
-        # age at the boundary continues the old trajectory
-        assert nxt.age_at(1.0) == pytest.approx(0.05 + 0.3)
+        # the new window starts on the old trajectory (age 0.05 + 0.3 at 1.0)
+        # and ramps over 0.2 s to its first ACK: mean 0.35 + 0.1
+        nxt.add_ack(1.2, 0.01)
+        assert nxt.age_average(1.2) == pytest.approx(0.05 + 0.3 + 0.1)
 
     def test_roll_without_acks_keeps_old_anchor(self):
         w = make_window(anchor=(-0.5, 0.0))
         nxt = w.roll(1.0)
         assert nxt.anchor_time == -0.5
-        assert nxt.age_at(1.0) == pytest.approx(1.5)
+        nxt.add_ack(1.2, 0.01)
+        assert nxt.age_average(1.2) == pytest.approx(1.5 + 0.1)

@@ -71,10 +71,22 @@ class TestAgeTrace:
                 == age_trace_from_deliveries(log, (0.75, 3.0)))
 
     def test_rtt_samples_mode_matches_delivery_mode(self):
+        # the same sawtooth as deliveries generated at t - rtt, except that
+        # the resets are the samples themselves, not t - (t - rtt)
         samples = [(0.5, 0.1), (0.8, 0.2), (1.4, 0.15)]
         t1 = age_trace_from_rtt_samples(samples, (0.5, 2.0))
         t2 = age_trace_from_deliveries([(t, t - r) for t, r in samples], (0.5, 2.0))
-        assert t1 == t2
+        assert t1.breakpoints == tuple(samples)
+        assert [t for t, _ in t1.breakpoints] == [t for t, _ in t2.breakpoints]
+        assert ([a for _, a in t1.breakpoints]
+                == pytest.approx([a for _, a in t2.breakpoints], abs=1e-15))
+
+    def test_rtt_breakpoints_are_the_samples_exactly(self):
+        # 1000.1 - (1000.1 - 0.0123) is 0.012299999999981992 in floating point
+        samples = [(1000.0, 0.0125), (1000.1, 0.0123), (1000.3, 0.0121)]
+        trace = age_trace_from_rtt_samples(samples, (1000.05, 1000.3))
+        assert trace.breakpoints[1:] == ((1000.1, 0.0123), (1000.3, 0.0121))
+        assert trace.breakpoints[0] == (1000.05, 0.0125 + (1000.05 - 1000.0))
 
 
 class TestTimeAverageAge:

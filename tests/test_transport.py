@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from agectl import transport
 from agectl.csvio import ack_csv_path, read_ack_log, read_monitor_log
 from agectl.transport import ProxyConfig, ProxyStats, run_monitor, run_proxy, run_source
 from agectl.wire import AckPacket, UpdatePacket, decode_ack, decode_update, encode_ack, encode_update
@@ -257,6 +258,53 @@ class TestLiveEndpoints:
         assert len(acks) > 100
         assert all(rtt < 0.05 for _, _, rtt in acks)
 
+    def test_forged_ack_is_dropped_and_logs_survive(self, tmp_path, monkeypatch):
+        made = []
+        monkeypatch.setattr(transport, "make_source", _keeping(made, transport.make_source))
+        src_port, mon_port = free_port(), free_port()
+        out = tmp_path / "src.csv"
+        status = {}
+
+        def source_main():
+            status["rc"] = run_source(f"{HOST}:{mon_port}", "constant:50", 1.0, str(out),
+                                      listen=f"{HOST}:{src_port}")
+
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as mon:
+            mon.bind((HOST, mon_port))
+            mon.settimeout(1.0)
+            t = threading.Thread(target=source_main)
+            t.start()
+            try:
+                data, addr = mon.recvfrom(65535)
+                first = decode_update(data)
+                # a sent seq with a gen_ts far in the future, from another socket
+                forged = encode_ack(AckPacket(seq=first.seq, gen_ts=10**12))
+                assert len(forged) == 17
+                with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as attacker:
+                    attacker.sendto(forged, addr)
+                mon.sendto(encode_ack(AckPacket(seq=first.seq, gen_ts=first.gen_ts)), addr)
+                while True:
+                    try:
+                        data, addr = mon.recvfrom(65535)
+                    except socket.timeout:
+                        break
+                    pkt = decode_update(data)
+                    mon.sendto(encode_ack(AckPacket(seq=pkt.seq, gen_ts=pkt.gen_ts)), addr)
+            finally:
+                t.join()
+        assert status == {"rc": 0}
+        assert made[0].violations == 1
+        acks = read_ack_log(ack_csv_path(out))
+        assert acks[0][1] == first.seq and all(0 <= rtt < 1.0 for _, _, rtt in acks)
+        assert out.exists()
+
+    def test_refused_peer_does_not_end_the_session(self, tmp_path):
+        # nothing listens on the peer port; an unconnected socket never sees
+        # the ICMP port-unreachable replies
+        out = tmp_path / "src.csv"
+        assert run_source(f"{HOST}:{free_port()}", "constant:200", 0.3, str(out)) == 0
+        assert out.exists() and read_ack_log(ack_csv_path(out)) == []
+
     def test_acp_source_on_loopback_rate_clamps(self, tmp_path):
         mon_port = free_port()
         out = tmp_path / "src.csv"
@@ -281,3 +329,10 @@ class TestLiveEndpoints:
         rc = run_source("203.0.113.1:9", "acp+", 0.5, str(out))
         assert rc == 0
         assert read_ack_log(ack_csv_path(out)) == []
+
+
+def _keeping(made, factory):
+    def build(*args, **kw):
+        made.append(factory(*args, **kw))
+        return made[-1]
+    return build
