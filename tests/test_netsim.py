@@ -249,6 +249,37 @@ class TestLoadCurve:
         assert measured == pytest.approx(1.0 / (mu - lam), rel=0.05)
 
 
+class TestMM1AgeOracle:
+    """Single-source FCFS M/M/1 age against its closed form.
+
+    Kaul, Yates and Gruteser (INFOCOM 2012): Poisson updates at rate
+    lambda through one exponential server of rate mu have time-average age
+    (1/mu)(1 + 1/rho + rho^2/(1 - rho)), rho = lambda/mu. Each case averages
+    two 400 s runs. The tolerance is four standard deviations of that
+    two-run mean, taken from the spread of 12 single 400 s runs (seeds
+    100-111): a per-run standard deviation of 0.29%, 0.23% and 1.85% of the
+    closed form at rho = 0.3, 0.53 and 0.8.
+    """
+
+    MU = 1000.0
+
+    def run_age(self, rho, seed, duration=400.0):
+        st = StationConfig(service=EXPONENTIAL, rate=self.MU * PACKET_BITS)
+        cfg = SimConfig(stations=(st,), protocol=f"poisson:{rho * self.MU}",
+                        duration=duration, seed=seed, ack_path="instant",
+                        record_trace=False)
+        result = run_simulation(cfg)
+        horizon = default_horizon(0.0, duration)
+        rows = [(r, g) for r, _, g in result.delivery_rows(0)]
+        return time_average_age(age_trace_from_deliveries(rows, horizon), horizon)
+
+    @pytest.mark.parametrize("rho, rel_tol", [(0.3, 0.01), (0.53, 0.0075), (0.8, 0.055)])
+    def test_average_age_matches_closed_form(self, rho, rel_tol):
+        exact = (1 + 1 / rho + rho**2 / (1 - rho)) / self.MU
+        measured = (self.run_age(rho, seed=1) + self.run_age(rho, seed=2)) / 2
+        assert measured == pytest.approx(exact, rel=rel_tol)
+
+
 class TestSweep:
     def test_single_station_age_curve_is_u_shaped(self):
         mu = 1000.0
