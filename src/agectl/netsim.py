@@ -8,6 +8,15 @@ own queue), plus an uncontended downlink when a multiaccess hop is
 present; alternatively the config can declare an instantaneous reverse
 path to isolate forward effects.
 
+Each path costs one event. Packets enter a tandem in time order and FIFO
+keeps that order, so a drop-tail FCFS hop fixes a packet's departure the
+moment it enters (Lindley's recursion). An update is carried through every
+station when it enters the tandem and leaves one delivery event at the
+monitor, or one drop event at the hop that refuses it; an ACK crosses the
+reverse stations and the downlink the same way to one event at its source.
+The channel settles a frame's outcome when the frame starts. Trace rows of
+the hops are written ahead of time and sorted by time when the run ends.
+
 Every random stream is derived from (seed, entity id), so adding a source
 or station never perturbs the draws of the others, and identical
 (config, seed) pairs replay identical event traces.
@@ -18,6 +27,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .endpoints import EPOCH, Monitor, make_source
 from .metrics import (
@@ -44,7 +54,6 @@ ENQUEUED = "enqueued"
 DROPPED = "dropped"
 SERVICE_START = "service_start"
 DELIVERED = "delivered"
-ACK_DELIVERED = "ack_delivered"
 
 
 class EventQueue:
@@ -154,53 +163,41 @@ class SimPacket:
 
 
 class StationQueue:
-    """One direction of a station: FCFS single server with drop-tail buffer."""
+    """One direction of a station: FCFS single server with drop-tail buffer.
 
-    def __init__(self, evq, cfg: StationConfig, rng, sink, tracer=None, on_drop=None):
-        self.evq = evq
+    A pure hop with no events. Packets reach it in time order, so each one's
+    departure is fixed on arrival by the Lindley recursion
+    departure = max(arrival, previous departure) + service. The hop keeps
+    the departure times of the packets still inside (in service or queued).
+    A departure at time t frees its buffer slot for an arrival at t.
+    """
+
+    def __init__(self, cfg: StationConfig, rng):
         self.cfg = cfg
-        self.rng = rng
-        self.sink = sink  # sink(pkt) called at the instant the packet exits
-        self.tracer = tracer
-        self.on_drop = on_drop
-        self.queue = deque()
-        self.busy = False
+        self.rng = rng  # service draws, in FIFO order
+        self.departures = deque()
         self.dropped = 0
 
-    def accept(self, pkt):
-        if self.cfg.buffer is not None and len(self.queue) >= self.cfg.buffer:
+    def enter(self, t, bits):
+        """(service_start, exit_time) of a packet arriving at t, or None if it is dropped.
+
+        The exit time adds the propagation delay to the departure.
+        """
+        cfg = self.cfg
+        departures = self.departures
+        while departures and departures[0] <= t:
+            departures.popleft()
+        if cfg.buffer is not None and len(departures) >= cfg.buffer:
             self.dropped += 1
-            if self.on_drop:
-                self.on_drop(pkt)
-            return
-        self.queue.append(pkt)
-        if self.tracer:
-            self.tracer(ENQUEUED, pkt)
-        if not self.busy:
-            self._start()
-
-    def _service_time(self, pkt):
-        if self.cfg.service == DETERMINISTIC:
-            return pkt.bits / self.cfg.rate
-        return self.rng.expovariate(self.cfg.rate / pkt.bits)
-
-    def _start(self):
-        self.busy = True
-        pkt = self.queue[0]
-        if self.tracer:
-            self.tracer(SERVICE_START, pkt)
-        self.evq.push(self.evq.now + self._service_time(pkt), PRIO_PACKET, self._complete)
-
-    def _complete(self):
-        pkt = self.queue.popleft()
-        if self.queue:
-            self._start()
+            return None
+        if cfg.service == DETERMINISTIC:
+            service = bits / cfg.rate
         else:
-            self.busy = False
-        if self.cfg.prop_delay > 0:
-            self.evq.push(self.evq.now + self.cfg.prop_delay, PRIO_PACKET, self.sink, pkt)
-        else:
-            self.sink(pkt)
+            service = self.rng.expovariate(cfg.rate / bits)
+        start = departures[-1] if departures else t
+        departure = start + service
+        departures.append(departure)
+        return start, departure + cfg.prop_delay
 
 
 class MultiaccessChannel:
@@ -217,15 +214,22 @@ class MultiaccessChannel:
     802.11 DCF), so a frame delays every waiter by the same number of
     slots. Each waiter keeps one (key, station) entry in a heap and
     attempts in grid slot key + shift; a frame only advances `shift`.
+
+    A frame's outcome is settled when it starts: the winner leaves its
+    queue, the senders draw their next countdowns and the loss is drawn.
+    A delivered frame goes to the sink with its end time, and a lost one
+    ends in a drop event at that time. Frames ending after `horizon` are
+    left out of the statistics, as the run stops before they end.
     """
 
     def __init__(self, evq, cfg: MultiaccessConfig, n_sources, seed, sink,
-                 tracer=None, on_drop=None):
+                 tracer=None, on_drop=None, horizon=math.inf):
         self.evq = evq
         self.cfg = cfg
-        self.sink = sink  # sink(pkt) on successful (and not lost) transmission
+        self.sink = sink  # sink(pkt, end_time) on successful (and not lost) transmission
         self.tracer = tracer
         self.on_drop = on_drop
+        self.horizon = horizon
         self.queues = [deque() for _ in range(n_sources)]
         self.attempts = [0] * n_sources
         self.heap = []  # (key, station): next attempt in grid slot key + shift
@@ -244,7 +248,7 @@ class MultiaccessChannel:
         fresh = not q
         q.append((pkt, now))
         if self.tracer:
-            self.tracer(ENQUEUED, pkt)
+            self.tracer(now, ENQUEUED, pkt)
         if not fresh:
             return  # not head of line yet; targeted when it gets there
         if now >= self.busy_until and not self.heap:
@@ -285,40 +289,40 @@ class MultiaccessChannel:
     def _transmit(self, senders):
         now = self.evq.now
         self.serial += 1  # invalidate any pending attempt event
-        bits = max(self.queues[i][0][0].bits for i in senders)
-        self.busy_until = now + bits / self.cfg.link_rate
-        resume = self._slot_after(self.busy_until)
+        queues = self.queues
+        bits = max(queues[i][0][0].bits for i in senders)
+        end = self.busy_until = now + bits / self.cfg.link_rate
+        resume = self._slot_after(end)
         attempt_slot = self._slot_after(now)
         # stations that lost this round resume their countdown after the frame
         assert not self.heap or self.heap[0][0] + self.shift > attempt_slot
         self.shift += resume - attempt_slot
-        if len(senders) == 1:
-            self.evq.push(self.busy_until, PRIO_PACKET, self._success, senders[0], resume)
+        counted = end <= self.horizon
+        if len(senders) > 1:
+            if counted:
+                self.collisions += 1
+            for i in senders:
+                self.attempts[i] += 1
+                window = 1 << min(self.attempts[i], self.cfg.max_backoff_exp)
+                self._wait(i, resume + self.rngs[i].randrange(window) + self._geom(i))
         else:
-            self.evq.push(self.busy_until, PRIO_PACKET, self._collision, tuple(senders), resume)
-
-    def _success(self, src, resume):
-        now = self.evq.now
-        pkt, enq_time = self.queues[src].popleft()
-        self.attempts[src] = 0
-        self.access_delays.append(now - enq_time)
-        if self.queues[src]:
-            self._wait(src, resume + self._geom(src))
+            src = senders[0]
+            pkt, enq_time = queues[src].popleft()
+            self.attempts[src] = 0
+            if counted:
+                self.access_delays.append(end - enq_time)
+            if queues[src]:
+                self._wait(src, resume + self._geom(src))
+            if self.cfg.per_source_loss and self.loss_rngs[src].random() < self.cfg.per_source_loss:
+                self.evq.push(end, PRIO_PACKET, self._lose, pkt)
+            else:
+                self.sink(pkt, end)
         self._schedule_attempt()
-        if self.cfg.per_source_loss and self.loss_rngs[src].random() < self.cfg.per_source_loss:
-            self.lost += 1
-            if self.on_drop:
-                self.on_drop(pkt)
-        else:
-            self.sink(pkt)
 
-    def _collision(self, senders, resume):
-        self.collisions += 1
-        for i in senders:
-            self.attempts[i] += 1
-            window = 1 << min(self.attempts[i], self.cfg.max_backoff_exp)
-            self._wait(i, resume + self.rngs[i].randrange(window) + self._geom(i))
-        self._schedule_attempt()
+    def _lose(self, pkt):
+        self.lost += 1
+        if self.on_drop:
+            self.on_drop(pkt)
 
 
 class RunResult:
@@ -337,7 +341,7 @@ class RunResult:
         return self.generated[src] - self.delivered[src] - self.dropped[src]
 
     def resident_census(self):
-        """Per-source update count found by walking queues and pending events."""
+        """Per-source update count found in the channel queues and pending events."""
         return self._network.resident_census()
 
     def delivery_rows(self, src):
@@ -370,91 +374,86 @@ class _Network:
         self.monitors = [Monitor() for _ in range(cfg.n_sources)]
         self.timer_marks = [{} for _ in range(cfg.n_sources)]
 
-        tracer = self._record if cfg.record_trace else None
         seed = cfg.seed
-
-        # forward chain: multiaccess -> stations -> monitor
-        self.fwd_stations = []
-        next_sink = self._monitor_in
-        for idx in reversed(range(len(cfg.stations))):
-            st = StationQueue(
-                self.evq, cfg.stations[idx],
-                random.Random(f"{seed}/station/{idx}/fwd"),
-                next_sink, tracer=tracer, on_drop=self._drop_update,
-            )
-            self.fwd_stations.insert(0, st)
-            next_sink = st.accept
-        self.forward_entry = next_sink
-
+        # forward: multiaccess -> stations -> monitor
+        self.fwd_hops = [StationQueue(st, random.Random(f"{seed}/station/{idx}/fwd"))
+                         for idx, st in enumerate(cfg.stations)]
         self.channel = None
         if cfg.multiaccess is not None:
             self.channel = MultiaccessChannel(
-                self.evq, cfg.multiaccess, cfg.n_sources, seed,
-                sink=next_sink, tracer=tracer, on_drop=self._drop_update,
+                self.evq, cfg.multiaccess, cfg.n_sources, seed, sink=self._forward,
+                tracer=self._record if cfg.record_trace else None,
+                on_drop=self._drop_update, horizon=cfg.duration,
             )
 
-        # reverse chain for ACKs: stations reversed, then the downlink
+        # reverse, for ACKs: stations reversed, then the downlink; None is instant
+        self.rev_hops = None
         if cfg.ack_path == "symmetric":
-            next_sink = self._source_in
+            self.rev_hops = [StationQueue(cfg.stations[idx],
+                                          random.Random(f"{seed}/station/{idx}/rev"))
+                             for idx in reversed(range(len(cfg.stations)))]
             if cfg.multiaccess is not None:
-                downlink_cfg = StationConfig(
-                    service=DETERMINISTIC, rate=cfg.multiaccess.link_rate
-                )
-                downlink = StationQueue(
-                    self.evq, downlink_cfg,
-                    random.Random(f"{seed}/downlink"), next_sink,
-                )
-                next_sink = downlink.accept
-            for idx in range(len(cfg.stations)):
-                st = StationQueue(
-                    self.evq, cfg.stations[idx],
-                    random.Random(f"{seed}/station/{idx}/rev"),
-                    next_sink,
-                )
-                next_sink = st.accept
-            self.reverse_entry = next_sink
-        else:
-            self.reverse_entry = self._source_in
+                downlink = StationConfig(service=DETERMINISTIC, rate=cfg.multiaccess.link_rate)
+                self.rev_hops.append(StationQueue(downlink, None))
 
     # -- trace and accounting hooks
 
-    def _record(self, kind, pkt):
-        if self.trace is not None and pkt.is_update:
-            self.trace.append((self.evq.now, pkt.src, kind, pkt.seq))
+    def _record(self, t, kind, pkt):
+        if self.trace is not None:
+            self.trace.append((t, pkt.src, kind, pkt.seq))
 
     def _drop_update(self, pkt):
-        if pkt.is_update:
-            self.dropped[pkt.src] += 1
-            self._record(DROPPED, pkt)
+        self.dropped[pkt.src] += 1
+        self._record(self.evq.now, DROPPED, pkt)
 
     # -- packet movement
+
+    def _cross(self, hops, pkt, t):
+        """Carry pkt through hops from time t: (exit time, True) or (drop time, False)."""
+        rows = self.trace if pkt.is_update else None
+        for hop in hops:
+            passed = hop.enter(t, pkt.bits)
+            if passed is None:
+                return t, False
+            if rows is not None:
+                rows.append((t, pkt.src, ENQUEUED, pkt.seq))
+                rows.append((passed[0], pkt.src, SERVICE_START, pkt.seq))
+            t = passed[1]
+        return t, True
+
+    def _forward(self, pkt, t):
+        t, through = self._cross(self.fwd_hops, pkt, t)
+        self.evq.push(t, PRIO_PACKET, self._monitor_in if through else self._drop_update, pkt)
 
     def _send_update(self, src, wire_pkt):
         pkt = SimPacket(src, wire_pkt.seq, self.update_bits, wire_pkt, True)
         self.generated[src] += 1
-        self._record(GENERATED, pkt)
+        now = self.evq.now
+        self._record(now, GENERATED, pkt)
         if self.channel is not None:
             self.channel.accept(src, pkt)
         else:
-            self.forward_entry(pkt)
+            self._forward(pkt, now)
 
     def _monitor_in(self, pkt):
         now = self.evq.now
         src = pkt.src
         self.delivered[src] += 1
-        self._record(DELIVERED, pkt)
+        self._record(now, DELIVERED, pkt)
         ack = self.monitors[src].on_update(pkt.wire, now)
         if ack is None:
             return
         ack_pkt = SimPacket(src, ack.seq, self.ack_bits, ack, False)
-        self.reverse_entry(ack_pkt)
+        if self.rev_hops is None:
+            self._source_in(ack_pkt)
+            return
+        t, through = self._cross(self.rev_hops, ack_pkt, now)
+        if through:
+            self.evq.push(t, PRIO_PACKET, self._source_in, ack_pkt)
 
     def _source_in(self, pkt):
-        now = self.evq.now
         src = pkt.src
-        self._record(ACK_DELIVERED, pkt)
-        out = self.sources[src].on_ack(pkt.wire, now)
-        for wire_pkt in out:
+        for wire_pkt in self.sources[src].on_ack(pkt.wire, self.evq.now):
             self._send_update(src, wire_pkt)
         self._reconcile_timers(src)
 
@@ -482,10 +481,15 @@ class _Network:
             for wire_pkt in self.sources[src].start(0.0):
                 self._send_update(src, wire_pkt)
             self._reconcile_timers(src)
-        self.evq.run_until(self.cfg.duration)
+        duration = self.cfg.duration
+        self.evq.run_until(duration)
+        trace = []
+        if self.trace is not None:  # hop rows were written ahead of their time
+            trace = sorted((row for row in self.trace if row[0] <= duration),
+                           key=itemgetter(0))
         return RunResult(
             self.cfg,
-            self.trace if self.trace is not None else [],
+            trace,
             self.sources,
             self.monitors,
             (self.generated, self.delivered, self.dropped),
@@ -496,17 +500,14 @@ class _Network:
     def resident_census(self):
         """Updates actually sitting in the network, counted per source.
 
-        Walks the channel and station queues plus the event heap (packets
-        in propagation ride inside pending delivery events).
+        Counts the channel queues plus the pending delivery and drop events;
+        an update whose delivery or drop falls after the run end is in flight.
         """
         counts = [0] * self.cfg.n_sources
         if self.channel is not None:
             for q in self.channel.queues:
                 for pkt, _ in q:
                     counts[pkt.src] += 1
-        for st in self.fwd_stations:
-            for pkt in st.queue:
-                counts[pkt.src] += 1
         for _, _, _, _, args in self.evq._heap:
             for arg in args:
                 if isinstance(arg, SimPacket) and arg.is_update:
@@ -521,55 +522,26 @@ def run_simulation(cfg: SimConfig) -> RunResult:
 # -- load/delay characterization of a single station
 
 
-class _LoadProbe:
-    """Poisson packet injector plus system-time statistics for one station."""
-
-    def __init__(self, station_cfg, arrival_rate, packets, seed, packet_bits,
-                 warmup_frac=0.1):
-        self.evq = EventQueue()
-        self.rng = random.Random(f"{seed}/arrivals")
-        self.rate = arrival_rate
-        self.remaining = packets
-        self.skip = int(packets * warmup_frac)
-        self.seen = 0
-        self.total = 0.0
-        self.counted = 0
-        self.packet_bits = packet_bits
-        self.born = {}
-        self.station = StationQueue(
-            self.evq, station_cfg, random.Random(f"{seed}/service"), self._sink
-        )
-        self._next_seq = 0
-
-    def _arrive(self):
-        pkt = SimPacket(0, self._next_seq, self.packet_bits, None, True)
-        self._next_seq += 1
-        self.born[pkt.seq] = self.evq.now
-        self.station.accept(pkt)
-        self.remaining -= 1
-        if self.remaining > 0:
-            self.evq.push(
-                self.evq.now + self.rng.expovariate(self.rate), PRIO_TIMER, self._arrive
-            )
-
-    def _sink(self, pkt):
-        self.seen += 1
-        system_time = self.evq.now - self.born.pop(pkt.seq)
-        if self.seen > self.skip:
-            self.total += system_time
-            self.counted += 1
-
-    def mean_system_time(self):
-        self.evq.push(0.0, PRIO_TIMER, self._arrive)
-        self.evq.run_until(math.inf)
-        return self.total / self.counted
-
-
 def simulate_station_system_time(station_cfg, arrival_rate, packets, seed=0,
                                  packet_bits=8 * (UPDATE_HEADER_SIZE + 1024)):
-    """Mean time through one station under Poisson arrivals (event-driven)."""
-    probe = _LoadProbe(station_cfg, arrival_rate, packets, seed, packet_bits)
-    return probe.mean_system_time()
+    """Mean time through one station under Poisson arrivals, after a 10% warm-up.
+
+    The warm-up skips the first tenth of `packets` among those delivered.
+    """
+    arrivals = random.Random(f"{seed}/arrivals")
+    hop = StationQueue(station_cfg, random.Random(f"{seed}/service"))
+    skip = int(packets * 0.1)
+    t, total, counted = 0.0, 0.0, 0
+    for _ in range(packets):
+        passed = hop.enter(t, packet_bits)
+        if passed is not None:
+            if skip:
+                skip -= 1
+            else:
+                total += passed[1] - t
+                counted += 1
+        t += arrivals.expovariate(arrival_rate)
+    return total / counted
 
 
 def rtt_vs_load_curve(station_cfg, rtt_base, loads, mode="analytic",
@@ -581,7 +553,7 @@ def rtt_vs_load_curve(station_cfg, rtt_base, loads, mode="analytic",
     rtt_base and saturates at the full-buffer wait above it; an exponential
     server adds the mean system time 1/(mu - lambda) while stable. An
     unstable load on an unbounded buffer is flagged as an infinite point.
-    Simulate mode runs the event-driven station under Poisson arrivals and
+    Simulate mode runs the station under Poisson arrivals and
     reports rtt_base plus the measured mean system time.
     """
     mu = station_cfg.rate / packet_bits  # packets per second

@@ -6,6 +6,8 @@ by looking them up by name (`instrument()`), and the live workload swaps
 removes one of them breaks the benchmark without failing any other test.
 This runs `instrument()` around one small simulation, checks that every
 layer it patches was entered, and that `restore()` puts the originals back.
+The stations schedule no events of their own, so the `netsim.station` span
+must stay empty, while `timed_push` still looks up `netsim.StationQueue`.
 """
 
 import sys
@@ -22,7 +24,7 @@ SPANS = (
     "endpoints.fire", "endpoints.on_ack", "endpoints.monitor_on_update",
     "estimation.record_ack", "estimation.age_average", "estimation.backlog_average",
     "controller.control_step", "controller.update_lambda",
-    "netsim.station", "netsim.channel", "netsim.timer", "netsim.delivery",
+    "netsim.channel", "netsim.timer", "netsim.delivery",
 )
 
 
@@ -50,6 +52,8 @@ def test_instrument_spans_every_layer_and_restores():
         tracer.restore()
     totals = tracer.totals()
     assert [span for span in SPANS if totals.get(span, (0,))[0] == 0] == []
+    assert totals.get("netsim.station", (0,))[0] == 0
+    assert hasattr(netsim, "StationQueue")
     assert [getattr(owner, name) for owner, name in patched] == originals
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -11,6 +12,7 @@ from agectl.metrics import (
 from agectl.netsim import (
     DELIVERED,
     DETERMINISTIC,
+    DROPPED,
     ENQUEUED,
     EXPONENTIAL,
     GENERATED,
@@ -20,6 +22,7 @@ from agectl.netsim import (
     SimConfig,
     SimPacket,
     StationConfig,
+    StationQueue,
     rtt_vs_load_curve,
     run_simulation,
     simulate_station_system_time,
@@ -157,7 +160,7 @@ def test_countdown_freezes_while_another_frame_is_on_air():
     delivered = []
     channel = MultiaccessChannel(
         clock, MultiaccessConfig(link_rate=2.0, slot=1.0, persistence=0.5), 3, 0,
-        sink=lambda pkt: delivered.append((clock.now, pkt.src)))
+        sink=lambda pkt, t: delivered.append((t, pkt.src)))
     channel.rngs = [GeomDraw(0), GeomDraw(0), GeomDraw(4)]
     channel.accept(0, SimPacket(0, 0, 5, None, True))  # idle channel: on air at once
     clock.now = 0.5
@@ -171,6 +174,85 @@ def test_countdown_freezes_while_another_frame_is_on_air():
     assert delivered == [(2.5, 0), (5.5, 1), (12.5, 2)]
     assert channel.access_delays == [2.5, 5.0, 12.0]
     assert channel.collisions == 0
+
+
+class TestStationHop:
+    """One FCFS drop-tail hop, timed by the Lindley recursion at entry."""
+
+    def test_departure_at_t_frees_the_slot_for_an_arrival_at_t(self):
+        # 8 bits at 8 bit/s: one second of service, then 0.5 s of propagation
+        hop = StationQueue(StationConfig(service=DETERMINISTIC, rate=8.0, buffer=1,
+                                         prop_delay=0.5), None)
+        assert hop.enter(0.0, 8) == (0.0, 1.5)
+        assert hop.enter(0.999, 8) is None  # the first packet is still in service
+        assert hop.enter(1.0, 8) == (1.0, 2.5)  # it departs at 1.0: its slot is free
+        assert hop.dropped == 1
+
+    def test_packet_waits_for_the_previous_departure(self):
+        hop = StationQueue(StationConfig(service=DETERMINISTIC, rate=8.0), None)
+        assert [hop.enter(t, 8) for t in (0.0, 0.25, 0.5, 4.0)] == [
+            (0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (4.0, 5.0)]
+
+    def test_exponential_service_is_drawn_in_fifo_order(self):
+        hop = StationQueue(StationConfig(service=EXPONENTIAL, rate=1e3),
+                           random.Random("hop"))
+        sizes = [800, 80, 8000, 800, 8]
+        departures = [hop.enter(0.0, bits)[1] for bits in sizes]  # all queue at t = 0
+        reference = random.Random("hop")
+        expected, t = [], 0.0
+        for bits in sizes:
+            t += reference.expovariate(1e3 / bits)
+            expected.append(t)
+        assert departures == expected
+
+
+class TestFutureRows:
+    """An update is carried through every station when it enters the tandem.
+
+    A constant source sends every 0.1 s from t = 0 to t = 1. Station 1 serves
+    in 0.01 s, then propagates for 0.3 s. Station 2 serves in 0.25 s with room
+    for one packet, so of every three arrivals it takes one and drops two.
+    The run stops at 1.05 s, before the fate of the last four updates.
+    """
+
+    DURATION = 1.05
+
+    def run(self):
+        fast = StationConfig(service=DETERMINISTIC, rate=PACKET_BITS / 0.01, prop_delay=0.3)
+        slow = StationConfig(service=DETERMINISTIC, rate=PACKET_BITS / 0.25, buffer=1)
+        cfg = SimConfig(stations=(fast, slow), protocol="constant:10", duration=self.DURATION,
+                        seed=1, ack_path="instant")
+        return run_simulation(cfg)
+
+    def test_second_hop_drop_is_recorded_at_its_own_time(self):
+        result = self.run()
+        drops = [(seq, t) for t, _, kind, seq in result.trace if kind == DROPPED]
+        assert [seq for seq, _ in drops] == [1, 2, 4, 5, 7]
+        # the drop happens on arrival at station 2, 0.31 s after the send
+        assert [t for _, t in drops] == pytest.approx([0.41, 0.51, 0.71, 0.81, 1.01], abs=1e-12)
+
+    def test_future_drops_and_deliveries_count_as_in_flight(self):
+        result = self.run()
+        # seq 6 and 9 are delivered after the end, seq 8 and 10 dropped after it
+        assert result.generated[0] == 11
+        assert (result.delivered[0], result.dropped[0]) == (2, 5)
+        assert result.in_flight(0) == 4
+        assert result.resident_census() == [4]
+
+    def test_rows_are_sorted_stably_and_cut_at_the_end(self):
+        trace = self.run().trace
+        times = [t for t, _, _, _ in trace]
+        assert times == sorted(times)
+        assert times[-1] <= self.DURATION
+        # an idle station 1 gives each send three rows at one time, in lifecycle order
+        for seq in range(11):
+            rows = [kind for _, _, kind, q in trace if q == seq]
+            assert rows[:3] == [GENERATED, ENQUEUED, SERVICE_START]
+        # seq 9 reaches station 2 at 1.21 s, after the end: only its first rows exist
+        assert [kind for _, _, kind, q in trace if q == 9] == [GENERATED, ENQUEUED, SERVICE_START]
+        # seq 0 is delivered at 0.56 s, between the sends of seq 5 and seq 6
+        order = [(kind, q) for _, _, kind, q in trace]
+        assert order.index((GENERATED, 5)) < order.index((DELIVERED, 0)) < order.index((GENERATED, 6))
 
 
 class TestConservation:
