@@ -341,6 +341,11 @@ def cmd_report(run_dir, warmup_frac=0.1):
     if not monitor_files and not ack_files:
         print(f"no endpoint CSVs found in {run_dir}", file=sys.stderr)
         return 1
+    # a simulated run's manifest holds its spec; live logs do not record the size
+    manifest = run_dir / "manifest.json"
+    payload_bytes = 1024
+    if manifest.exists():
+        payload_bytes = ExperimentSpec(json.loads(manifest.read_text())["spec"]).payload_bytes
     rows = []
     scatter = []
     errors = 0
@@ -358,7 +363,7 @@ def cmd_report(run_dir, warmup_frac=0.1):
             deliveries = [(r, s, g / 1e9) for r, s, g in log_rows]
             t0, t1 = deliveries[0][0], deliveries[-1][0]
             horizon = default_horizon(t0, t1, warmup_frac)
-            stats = summarize(deliveries, horizon, payload_bytes=1024)
+            stats = summarize(deliveries, horizon, payload_bytes)
             trace = age_trace_from_deliveries([(r, g) for r, _, g in deliveries], horizon)
             _export_trace(run_dir / f"age_{path.stem}.csv", trace)
             rows.append((path.stem, "one-way", stats.delivered_count,

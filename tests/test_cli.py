@@ -249,3 +249,20 @@ def test_rtt_curve_cli(tmp_path, capsys):
     assert rc == 0
     rows = list(csv.DictReader(open(out)))
     assert len(rows) == 2 and float(rows[0]["mean_rtt"]) > 0
+
+
+def test_report_throughput_uses_the_simulated_payload_size(tmp_path, capsys):
+    spec = tmp_path / "small.spec"
+    spec.write_text("name = small\nduration = 10\nseed = 3\nprotocols = constant:50\n"
+                    "payload_bytes = 200\nack_path = instant\n\n"
+                    "[station]\nservice = deterministic\nrate = 6e6\n")
+    assert cmd_simulate(str(spec), str(tmp_path)) == 0
+    run = tmp_path / "small" / "sources-001" / "constant-50" / "rep00"
+    summary = next(csv.DictReader(open(run / "summary.csv")))
+    capsys.readouterr()
+    assert cmd_report(str(run)) == 0
+    rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()}
+    reported = float(rows["monitor_000"][5])
+    # about 50 updates/s of 200 bytes; the two horizons differ by their start
+    assert reported == pytest.approx(float(summary["throughput_bps"]), rel=0.02)
+    assert reported == pytest.approx(50 * 200 * 8, rel=0.02)
