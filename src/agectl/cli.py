@@ -341,14 +341,19 @@ def cmd_report(run_dir, warmup_frac=0.1):
     if not monitor_files and not ack_files:
         print(f"no endpoint CSVs found in {run_dir}", file=sys.stderr)
         return 1
+    errors = 0
     # a simulated run's manifest holds its spec; live logs do not record the size
     manifest = run_dir / "manifest.json"
     payload_bytes = 1024
     if manifest.exists():
-        payload_bytes = ExperimentSpec(json.loads(manifest.read_text())["spec"]).payload_bytes
+        try:
+            payload_bytes = ExperimentSpec(json.loads(manifest.read_text())["spec"]).payload_bytes
+        except (ValueError, KeyError, TypeError, OSError) as exc:  # ValueError: bad JSON or spec
+            print(f"{manifest.name}: unreadable ({exc}); assuming 1024-byte payloads",
+                  file=sys.stderr)
+            errors += 1
     rows = []
     scatter = []
-    errors = 0
     for path in monitor_files + ack_files:
         one_way = path in monitor_files
         try:

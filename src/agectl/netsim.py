@@ -410,14 +410,14 @@ class _Network:
 
     def _cross(self, hops, pkt, t):
         """Carry pkt through hops from time t: (exit time, True) or (drop time, False)."""
-        rows = self.trace if pkt.is_update else None
+        record = self.trace is not None and pkt.is_update
         for hop in hops:
             passed = hop.enter(t, pkt.bits)
             if passed is None:
                 return t, False
-            if rows is not None:
-                rows.append((t, pkt.src, ENQUEUED, pkt.seq))
-                rows.append((passed[0], pkt.src, SERVICE_START, pkt.seq))
+            if record:
+                self._record(t, ENQUEUED, pkt)
+                self._record(passed[0], SERVICE_START, pkt)
             t = passed[1]
         return t, True
 

@@ -266,3 +266,13 @@ def test_report_throughput_uses_the_simulated_payload_size(tmp_path, capsys):
     # about 50 updates/s of 200 bytes; the two horizons differ by their start
     assert reported == pytest.approx(float(summary["throughput_bps"]), rel=0.02)
     assert reported == pytest.approx(50 * 200 * 8, rel=0.02)
+
+
+def test_report_flags_an_unreadable_manifest(tmp_path, capsys):
+    write_monitor_log(tmp_path / "monitor_000.csv",
+                      [(0.1 * k + 0.02, k, round(0.1 * k * 1e9)) for k in range(50)])
+    (tmp_path / "manifest.json").write_text("{not json")
+    assert cmd_report(str(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert "manifest.json: unreadable" in captured.err
+    assert "monitor_000" in captured.out

@@ -176,6 +176,34 @@ def test_countdown_freezes_while_another_frame_is_on_air():
     assert channel.collisions == 0
 
 
+class BackoffDraw(GeomDraw):
+    """GeomDraw that also takes a fixed backoff slot after each collision."""
+
+    def __init__(self, k, backoff):
+        super().__init__(k)
+        self.backoff = backoff
+
+    def randrange(self, n):
+        return min(self.backoff, n - 1)
+
+
+def test_frames_ending_after_the_horizon_are_left_out_of_the_statistics():
+    # the frame outcome is settled when it starts; the run ends at 5.0
+    clock = StubClock()
+    channel = MultiaccessChannel(
+        clock, MultiaccessConfig(link_rate=2.0, slot=1.0, persistence=0.5), 2, 0,
+        sink=lambda pkt, t: None, horizon=5.0)
+    channel.rngs = [BackoffDraw(0, 0), BackoffDraw(0, 1)]
+    channel.accept(0, SimPacket(0, 0, 5, None, True))  # on air over [0, 2.5]
+    channel.accept(0, SimPacket(0, 1, 5, None, True))  # attempts in slot 3
+    clock.now = 0.5
+    channel.accept(1, SimPacket(1, 0, 5, None, True))  # attempts in slot 3 too
+    clock.run()
+    # the slot-3 collision ends at 5.5 and both retries later still
+    assert channel.access_delays == [2.5]
+    assert channel.collisions == 0
+
+
 class TestStationHop:
     """One FCFS drop-tail hop, timed by the Lindley recursion at entry."""
 
