@@ -1,18 +1,20 @@
 """Command-line entry point: simulations, live endpoints, proxy, reports.
 
 Experiment specs are flat key-value files with repeatable [station] blocks
-and an optional [multiaccess] block; see the README for the format. Each
-run writes its own directory with per-source CSVs and a manifest that
-pins the seed, config snapshot and code version, so any run can be
-reproduced exactly.
+and an optional [multiaccess] block, keyed by the fields of netsim's config
+dataclasses; see the README for the format. Each run writes its own
+directory with per-source CSVs and a manifest that pins the seed, config
+snapshot and code version, so any run can be reproduced exactly.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
 import statistics
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -32,6 +34,7 @@ from .csvio import (
 )
 from .endpoints import parse_mode
 from .metrics import (
+    DEFAULT_WARMUP_FRAC,
     age_trace_from_deliveries,
     age_trace_from_rtt_samples,
     default_horizon,
@@ -48,7 +51,7 @@ from .netsim import (
     sweep_min_age,
 )
 from .transport import ProxyConfig, run_monitor, run_proxy, run_source
-from .wire import UPDATE_HEADER_SIZE
+from .wire import DEFAULT_PAYLOAD_BYTES, update_bits
 
 # -- spec file parsing
 
@@ -108,58 +111,73 @@ def parse_spec(text):
     return top, stations, multiaccess
 
 
-def _station_from(block):
-    return StationConfig(
-        service=str(block.get("service", "deterministic")),
-        rate=float(block["rate"]),
-        buffer=block.get("buffer"),
-        prop_delay=float(block.get("prop_delay", 0.0)),
-    )
+def _convert(value, kind, key):
+    """A spec value as a field of type `kind`; an int field takes only integral numbers."""
+    kinds = typing.get_args(kind) or (kind,)
+    base = kinds[0]
+    if value is None and type(None) in kinds or type(value) is base:
+        return value
+    if base is float and type(value) is int:
+        return float(value)
+    if base is int and type(value) is float and value.is_integer():
+        return int(value)
+    raise SpecError(f"{key} must be {base.__name__}, got {value!r}")
 
 
-def _multiaccess_from(block):
-    kw = {}
-    for key in ("link_rate", "slot", "persistence", "per_source_loss"):
-        if key in block:
-            kw[key] = float(block[key])
-    if "max_backoff_exp" in block:
-        kw["max_backoff_exp"] = int(block["max_backoff_exp"])
-    return MultiaccessConfig(**kw)
+def _build(cls, block, section, exclude=(), **given):
+    """cls(**given, **block); each key of the block must name a field outside `exclude`."""
+    types = {f.name: f.type for f in dataclasses.fields(cls)
+             if f.name not in exclude and f.name not in given}
+    for key in block:
+        if key not in types:
+            raise SpecError(f"{section}: unknown key {key!r}")
+    try:
+        return cls(**given, **{k: _convert(v, types[k], k) for k, v in block.items()})
+    except (TypeError, ValueError) as exc:  # a value, a missing field or a __post_init__ check
+        raise SpecError(f"{section}: {exc}") from None
 
 
 def _as_list(value):
-    if value is None:
-        return None
     return value if isinstance(value, list) else [value]
 
 
+# top-level keys that shape the sweep; every other one is a SimConfig field
+RUN_KEYS = ("name", "repetitions", "warmup_frac", "sweep_sources", "sources",
+            "protocols", "protocol")
+
+
 class ExperimentSpec:
-    """One sweep: (sweep value x protocol x repetition) simulation runs."""
+    """One sweep: (sweep value x protocol x repetition) simulation runs.
+
+    The blocks build their configs by field name, and the top-level keys
+    outside RUN_KEYS build `base`, the SimConfig that each run varies.
+    """
 
     def __init__(self, text):
         top, stations, multiaccess = parse_spec(text)
         if not stations:
             raise SpecError("at least one [station] block is required")
         self.text = text
-        self.name = str(top.get("name", "experiment"))
-        self.repetitions = int(top.get("repetitions", 1))
+        run = {key: top.pop(key) for key in RUN_KEYS if key in top}
+        self.name = str(run.get("name", "experiment"))
+        self.repetitions = _convert(run.get("repetitions", 1), int, "repetitions")
         if self.repetitions < 1:
             raise SpecError("repetitions must be >= 1")
-        self.duration = float(top.get("duration", 10.0))
-        self.seed = int(top.get("seed", 0))
-        self.payload_bytes = int(top.get("payload_bytes", 1024))
-        self.ack_path = str(top.get("ack_path", "symmetric"))
-        self.warmup_frac = float(top.get("warmup_frac", 0.1))
-        self.alpha = float(top.get("alpha", 0.875))
-        self.record_trace = bool(top.get("record_trace", False))
-        sweep = _as_list(top.get("sweep_sources"))
-        self.source_counts = [int(v) for v in sweep] if sweep else [int(top.get("sources", 1))]
+        self.warmup_frac = _convert(run.get("warmup_frac", DEFAULT_WARMUP_FRAC), float,
+                                    "warmup_frac")
+        counts = _as_list(run.get("sweep_sources", run.get("sources", SimConfig.n_sources)))
+        self.source_counts = [_convert(v, int, "sweep_sources") for v in counts]
         if len(set(self.source_counts)) != len(self.source_counts):
             raise SpecError("sweep values must be distinct")
-        protocols = _as_list(top.get("protocols", top.get("protocol", "acp+")))
+        protocols = _as_list(run.get("protocols", run.get("protocol", SimConfig.protocol)))
         self.protocols = [str(p) for p in protocols]
-        self.stations = tuple(_station_from(b) for b in stations)
-        self.multiaccess = _multiaccess_from(multiaccess) if multiaccess is not None else None
+        self.base = _build(
+            SimConfig, top, "top level", exclude=("n_sources", "protocol"),
+            stations=tuple(_build(StationConfig, block, f"[station {i}]")
+                           for i, block in enumerate(stations, 1)),
+            multiaccess=None if multiaccess is None else _build(
+                MultiaccessConfig, multiaccess, "[multiaccess]"),
+        )
 
     def runs(self):
         for n in self.source_counts:
@@ -168,36 +186,24 @@ class ExperimentSpec:
                     yield n, proto, rep
 
     def sim_config(self, n_sources, protocol, rep):
-        seed_text = f"{self.name}/{self.seed}/{n_sources}/{protocol}/{rep}"
+        seed_text = f"{self.name}/{self.base.seed}/{n_sources}/{protocol}/{rep}"
         seed = int.from_bytes(hashlib.sha256(seed_text.encode()).digest()[:8], "big")
-        return SimConfig(
-            stations=self.stations,
-            n_sources=n_sources,
-            protocol=protocol,
-            duration=self.duration,
-            seed=seed,
-            payload_bytes=self.payload_bytes,
-            multiaccess=self.multiaccess,
-            ack_path=self.ack_path,
-            alpha=self.alpha,
-            record_trace=self.record_trace,
-        )
+        return dataclasses.replace(self.base, n_sources=n_sources, protocol=protocol, seed=seed)
 
 
 # -- run execution and summaries
 
 
-def _fmt(value, digits=6):
+def _fmt(value):
     if value is None or (isinstance(value, float) and math.isnan(value)):
         return ""
-    return round(value, digits)
+    return round(value, 6)
 
 
 def summarize_run(result, warmup_frac):
     """Run-level aggregates: one summary row plus per-source details."""
     cfg = result.cfg
     horizon = default_horizon(0.0, cfg.duration, warmup_frac)
-    span = horizon[1] - horizon[0]
     ages, delays, backlogs, inter_acks, inter_deliveries = [], [], [], [], []
     throughput_total = 0.0
     for i in range(cfg.n_sources):
@@ -215,7 +221,6 @@ def summarize_run(result, warmup_frac):
             inter_acks.append((acks[-1] - acks[0]) / (len(acks) - 1))
     fairness = jain_fairness(ages) if len(ages) > 1 else 1.0
     return {
-        "sources": cfg.n_sources,
         "avg_age_ms": statistics.mean(ages) * 1e3 if ages else math.nan,
         "avg_delay_ms": statistics.mean(delays) * 1e3 if delays else math.nan,
         "throughput_bps": throughput_total,
@@ -223,12 +228,11 @@ def summarize_run(result, warmup_frac):
         "backlog_avg": statistics.mean(backlogs),
         "fairness": fairness,
         "inter_ack_ms": statistics.mean(inter_acks) * 1e3 if inter_acks else math.nan,
-        "horizon": span,
     }
 
 
 def _execute_run(args):
-    spec_text, warmup_frac, n, proto, rep, run_dir = args
+    spec_text, n, proto, rep, run_dir = args
     spec = ExperimentSpec(spec_text)
     cfg = spec.sim_config(n, proto, rep)
     result = run_simulation(cfg)
@@ -241,7 +245,7 @@ def _execute_run(args):
             write_epoch_log(run_dir / f"source_{i:03d}.csv", source.epoch_rows)
     if cfg.record_trace:
         write_trace(run_dir / "trace.csv", result.trace)
-    summary = summarize_run(result, warmup_frac)
+    summary = summarize_run(result, spec.warmup_frac)
     run_id = f"{spec.name}/N{n}/{proto}/rep{rep}"
     manifest = {
         "run_id": run_id,
@@ -260,26 +264,28 @@ def _execute_run(args):
                                    "inter_ack_ms")
     ]
     write_rows(run_dir / "summary.csv", SUMMARY_COLUMNS, [row])
-    return (n, proto, rep), row
+    return row
 
 
 def cmd_simulate(spec_path, out_dir, jobs=1):
     spec_text = Path(spec_path).read_text()
-    spec = ExperimentSpec(spec_text)
+    try:
+        spec = ExperimentSpec(spec_text)
+    except SpecError as exc:
+        print(f"{spec_path}: {exc}", file=sys.stderr)
+        return 2
     out = Path(out_dir) / spec.name
     out.mkdir(parents=True, exist_ok=True)
     tasks = []
     for n, proto, rep in spec.runs():
         run_dir = out / f"sources-{n:03d}" / proto.replace(":", "-") / f"rep{rep:02d}"
-        tasks.append((spec.text, spec.warmup_frac, n, proto, rep, str(run_dir)))
-    rows, failures = [], []
+        tasks.append((spec.text, n, proto, rep, str(run_dir)))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for task, outcome in zip(tasks, pool.map(_run_safely, tasks)):
-                _collect(task, outcome, rows, failures)
+            outcomes = list(pool.map(_run_safely, tasks))
     else:
-        for task in tasks:
-            _collect(task, _run_safely(task), rows, failures)
+        outcomes = [_run_safely(task) for task in tasks]
+    rows = [row for row in outcomes if not isinstance(row, Exception)]
     write_rows(out / "runs.csv", SUMMARY_COLUMNS, rows)
     rollup = _rollup(rows)
     write_rows(
@@ -291,10 +297,11 @@ def cmd_simulate(spec_path, out_dir, jobs=1):
         ),
         rollup,
     )
-    for task, err in failures:
-        print(f"FAILED {task[2]}x{task[3]} rep{task[4]}: {err}", file=sys.stderr)
+    for task, outcome in zip(tasks, outcomes):
+        if isinstance(outcome, Exception):
+            print(f"FAILED {task[1]}x{task[2]} rep{task[3]}: {outcome}", file=sys.stderr)
     print(f"{len(rows)} runs -> {out}")
-    return 1 if failures else 0
+    return 1 if len(rows) < len(tasks) else 0
 
 
 def _run_safely(task):
@@ -302,13 +309,6 @@ def _run_safely(task):
         return _execute_run(task)
     except Exception as exc:  # recorded per run, reported at exit
         return exc
-
-
-def _collect(task, outcome, rows, failures):
-    if isinstance(outcome, Exception):
-        failures.append((task, outcome))
-    else:
-        rows.append(outcome[1])
 
 
 def _rollup(rows):
@@ -332,7 +332,7 @@ def _rollup(rows):
 # -- reports
 
 
-def cmd_report(run_dir, warmup_frac=0.1):
+def cmd_report(run_dir, warmup_frac=DEFAULT_WARMUP_FRAC):
     run_dir = Path(run_dir)
     # endpoint logs are told apart by their header row; anything else is skipped
     headers = {path: read_header(path) for path in sorted(run_dir.glob("*.csv"))}
@@ -344,13 +344,14 @@ def cmd_report(run_dir, warmup_frac=0.1):
     errors = 0
     # a simulated run's manifest holds its spec; live logs do not record the size
     manifest = run_dir / "manifest.json"
-    payload_bytes = 1024
+    payload_bytes = DEFAULT_PAYLOAD_BYTES
     if manifest.exists():
         try:
-            payload_bytes = ExperimentSpec(json.loads(manifest.read_text())["spec"]).payload_bytes
+            spec = ExperimentSpec(json.loads(manifest.read_text())["spec"])
+            payload_bytes = spec.base.payload_bytes
         except (ValueError, KeyError, TypeError, OSError) as exc:  # ValueError: bad JSON or spec
-            print(f"{manifest.name}: unreadable ({exc}); assuming 1024-byte payloads",
-                  file=sys.stderr)
+            print(f"{manifest.name}: unreadable ({exc}); "
+                  f"assuming {DEFAULT_PAYLOAD_BYTES}-byte payloads", file=sys.stderr)
             errors += 1
     rows = []
     scatter = []
@@ -412,7 +413,7 @@ def _export_trace(path, trace):
 
 
 def cmd_sweep_min_age(args):
-    mu = args.station_rate_bits / (8 * (UPDATE_HEADER_SIZE + args.payload_bytes))
+    mu = args.station_rate_bits / update_bits(args.payload_bytes)
     rates = args.rates or [round(f * mu, 3) for f in
                            (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)]
     result = sweep_min_age(args.station_rate_bits, rates, args.duration,
@@ -429,13 +430,15 @@ def cmd_sweep_min_age(args):
 
 def cmd_rtt_curve(args):
     station = StationConfig(service=args.service, rate=args.rate_bits, buffer=args.buffer)
-    loads = args.loads
-    if not loads:
-        mu = args.rate_bits / (8 * (UPDATE_HEADER_SIZE + args.payload_bytes))
-        loads = [round(f * mu, 3) for f in (0.1, 0.3, 0.5, 0.7, 0.9, 1.1)]
-    curve = rtt_vs_load_curve(station, args.rtt_base, loads, mode=args.mode,
-                              packet_bits=8 * (UPDATE_HEADER_SIZE + args.payload_bytes),
-                              packets=args.packets, seed=args.seed)
+    bits = update_bits(args.payload_bytes)
+    mu = args.rate_bits / bits
+    loads = args.loads or [round(f * mu, 3) for f in (0.1, 0.3, 0.5, 0.7, 0.9, 1.1)]
+    try:
+        curve = rtt_vs_load_curve(station, args.rtt_base, loads, mode=args.mode,
+                                  packet_bits=bits, packets=args.packets, seed=args.seed)
+    except ValueError as exc:
+        print(f"rtt-curve: {exc}", file=sys.stderr)
+        return 2
     rows = [(load, "unstable" if math.isinf(rtt) else f"{rtt:.6f}") for load, rtt in curve]
     if args.out:
         write_rows(args.out, ("load", "mean_rtt"), rows)
@@ -466,7 +469,7 @@ def build_parser():
     p.add_argument("--peer", required=True)
     p.add_argument("--mode", type=_mode_arg, default="acp+")
     p.add_argument("--duration", type=float, required=True)
-    p.add_argument("--payload-bytes", type=int, default=1024)
+    p.add_argument("--payload-bytes", type=int, default=DEFAULT_PAYLOAD_BYTES)
     p.add_argument("--listen", default=None)
     p.add_argument("--out", required=True)
 
@@ -489,7 +492,7 @@ def build_parser():
     p.add_argument("--station-rate-bits", type=float, default=8.344e6)
     p.add_argument("--rates", type=float, nargs="*", default=None)
     p.add_argument("--duration", type=float, default=60.0)
-    p.add_argument("--payload-bytes", type=int, default=1024)
+    p.add_argument("--payload-bytes", type=int, default=DEFAULT_PAYLOAD_BYTES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
 
@@ -501,13 +504,13 @@ def build_parser():
     p.add_argument("--loads", type=float, nargs="*", default=None)
     p.add_argument("--mode", choices=("analytic", "simulate"), default="analytic")
     p.add_argument("--packets", type=int, default=200_000)
-    p.add_argument("--payload-bytes", type=int, default=1024)
+    p.add_argument("--payload-bytes", type=int, default=DEFAULT_PAYLOAD_BYTES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("report", help="summarize a run directory")
     p.add_argument("run_dir")
-    p.add_argument("--warmup-frac", type=float, default=0.1)
+    p.add_argument("--warmup-frac", type=float, default=DEFAULT_WARMUP_FRAC)
     return parser
 
 

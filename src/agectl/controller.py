@@ -59,10 +59,6 @@ class ControllerState:
     prev_backlog_avg: float | None = None
     epoch_index: int = 0
 
-    @property
-    def epoch_length(self) -> float:
-        return epoch_length(self.rate)
-
 
 def epoch_length(rate: float) -> float:
     """Epoch duration chosen so at least PACKETS_PER_EPOCH updates go out."""

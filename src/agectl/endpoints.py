@@ -42,8 +42,8 @@ MODE_LAZY = "lazy"
 MODE_CONSTANT = "constant"
 MODE_POISSON = "poisson"
 
-DEFAULT_BOOTSTRAP_RATE = 1.0  # updates/s until the first RTT sample exists
-DEFAULT_INITIAL_TIMEOUT = 1.0  # lazy resend guard before any RTT estimate
+BOOTSTRAP_RATE = 1.0  # acp+ updates/s until the first RTT sample exists
+INITIAL_TIMEOUT = 1.0  # lazy resend guard before any RTT estimate
 
 
 class Monitor:
@@ -176,14 +176,13 @@ class LazySource(SourceBase):
     flight.
     """
 
-    def __init__(self, initial_timeout=DEFAULT_INITIAL_TIMEOUT, **kw):
+    def __init__(self, **kw):
         super().__init__(**kw)
-        self.initial_timeout = initial_timeout
         self.fallback_time = None
 
     def _guard_delay(self) -> float:
         rtt = self.estimator.rtt_bar
-        return rtt if rtt is not None else self.initial_timeout
+        return rtt if rtt is not None else INITIAL_TIMEOUT
 
     def start(self, now: float) -> list:
         return self.fire(FALLBACK, now)
@@ -210,14 +209,16 @@ class AcpPlusSource(SourceBase):
 
     One update goes out immediately at session start; the first ACK seeds
     the rate at one update per measured round trip and opens the first
-    measurement epoch. Before that the source ticks at a conservative
-    bootstrap rate, and epochs without any ACK log a hold row and leave the
-    rate untouched.
+    measurement epoch. Before that the source ticks at BOOTSTRAP_RATE, and
+    epochs log `hold` (or `init`) and leave the rate untouched. Later an
+    epoch without any ACK reuses the previous averages, so b_k = delta_k = 0:
+    it logs `dec` (or keeps `mdec`) and the rate still moves to
+    update_lambda(previous rate, z_bar, rtt_bar, target).
     """
 
-    def __init__(self, bootstrap_rate=DEFAULT_BOOTSTRAP_RATE, **kw):
+    def __init__(self, **kw):
         super().__init__(**kw)
-        self.rate = bootstrap_rate
+        self.rate = BOOTSTRAP_RATE
         self.in_bootstrap = True
         self.controller_state = None
         self.epoch_window = None
@@ -340,15 +341,14 @@ def parse_mode(mode: str):
     return kind, value
 
 
-def make_source(mode: str, rng=None, bootstrap_rate=DEFAULT_BOOTSTRAP_RATE, **kw) -> SourceBase:
+def make_source(mode: str, rng=None, **kw) -> SourceBase:
     """Build a source from a mode string (see parse_mode).
 
-    `rng` draws a poisson source's gaps (a fresh random.Random() if None),
-    and `bootstrap_rate` is acp+'s rate until its first RTT sample.
+    `rng` draws a poisson source's gaps (a fresh random.Random() if None).
     """
     kind, rate = parse_mode(mode)
     if kind == MODE_ACP_PLUS:
-        return AcpPlusSource(bootstrap_rate=bootstrap_rate, **kw)
+        return AcpPlusSource(**kw)
     if kind == MODE_LAZY:
         return LazySource(**kw)
     if kind == MODE_POISSON:

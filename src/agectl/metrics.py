@@ -164,13 +164,11 @@ class SummaryStats:
     loss_fraction: float
 
 
-def summarize(monitor_log, horizon, payload_bytes: int, sent_count=None,
-              run_start=None) -> SummaryStats:
+def summarize(monitor_log, horizon, payload_bytes: int, run_start=None) -> SummaryStats:
     """Run-level statistics over one source's deliveries within a horizon.
 
-    monitor_log: (receive_time, seq, gen_ts_seconds) rows. sent_count, when
-    known exactly, overrides the sequence-span estimate; superseded or lost
-    updates count as losses either way.
+    monitor_log: (receive_time, seq, gen_ts_seconds) rows. Updates sent are
+    estimated from the seq span, so superseded and lost ones count as losses.
     """
     t0, t1 = horizon
     rows = [row for row in monitor_log if t0 <= row[0] <= t1]
@@ -191,8 +189,7 @@ def summarize(monitor_log, horizon, payload_bytes: int, sent_count=None,
     trace = age_trace_from_deliveries([(r, g) for r, _, g in monitor_log], (t0, t1),
                                       run_start)
     avg_age = time_average_age(trace, (t0, t1))
-    if sent_count is None:
-        sent_count = rows[-1][1] - rows[0][1] + 1  # seq span within the horizon
+    sent_count = rows[-1][1] - rows[0][1] + 1  # seq span within the horizon
     loss_fraction = 1.0 - delivered / sent_count if sent_count else math.nan
     return SummaryStats(
         avg_age=avg_age,

@@ -30,13 +30,15 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .endpoints import EPOCH, Monitor, make_source
+from .estimation import DEFAULT_SMOOTHING
 from .metrics import (
+    DEFAULT_WARMUP_FRAC,
     age_trace_from_deliveries,
     default_horizon,
     step_average,
     time_average_age,
 )
-from .wire import ACK_SIZE, UPDATE_HEADER_SIZE
+from .wire import ACK_SIZE, DEFAULT_PAYLOAD_BYTES, update_bits
 
 # event priorities at equal timestamps: packets move first, then the
 # contention slot machinery, then epoch closings, then send/guard timers
@@ -81,8 +83,8 @@ class EventQueue:
 class StationConfig:
     """One hop: single FCFS server, optional finite buffer, then propagation."""
 
-    service: str  # DETERMINISTIC or EXPONENTIAL
     rate: float  # bits/s; the mean for EXPONENTIAL service
+    service: str = DETERMINISTIC  # or EXPONENTIAL
     buffer: int | None = None  # packets including the one in service
     prop_delay: float = 0.0
 
@@ -123,12 +125,11 @@ class SimConfig:
     protocol: str = "acp+"  # one mode string, or comma list with one entry per source
     duration: float = 10.0
     seed: int = 0
-    payload_bytes: int = 1024
+    payload_bytes: int = DEFAULT_PAYLOAD_BYTES
     multiaccess: MultiaccessConfig | None = None
     ack_path: str = "symmetric"  # or "instant"
-    alpha: float = 0.875
-    bootstrap_rate: float = 1.0
-    record_trace: bool = True
+    alpha: float = DEFAULT_SMOOTHING
+    record_trace: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "stations", tuple(self.stations))
@@ -362,12 +363,11 @@ class _Network:
         self.generated = [0] * cfg.n_sources
         self.delivered = [0] * cfg.n_sources
         self.dropped = [0] * cfg.n_sources
-        self.update_bits = (UPDATE_HEADER_SIZE + cfg.payload_bytes) * 8
+        self.update_bits = update_bits(cfg.payload_bytes)
         self.ack_bits = ACK_SIZE * 8
 
         self.sources = [
             make_source(cfg.mode_for(i), rng=random.Random(f"{cfg.seed}/source/{i}"),
-                        bootstrap_rate=cfg.bootstrap_rate,
                         payload_bytes=cfg.payload_bytes, alpha=cfg.alpha)
             for i in range(cfg.n_sources)
         ]
@@ -393,7 +393,7 @@ class _Network:
                                           random.Random(f"{seed}/station/{idx}/rev"))
                              for idx in reversed(range(len(cfg.stations)))]
             if cfg.multiaccess is not None:
-                downlink = StationConfig(service=DETERMINISTIC, rate=cfg.multiaccess.link_rate)
+                downlink = StationConfig(rate=cfg.multiaccess.link_rate)
                 self.rev_hops.append(StationQueue(downlink, None))
 
     # -- trace and accounting hooks
@@ -523,29 +523,29 @@ def run_simulation(cfg: SimConfig) -> RunResult:
 
 
 def simulate_station_system_time(station_cfg, arrival_rate, packets, seed=0,
-                                 packet_bits=8 * (UPDATE_HEADER_SIZE + 1024)):
-    """Mean time through one station under Poisson arrivals, after a 10% warm-up.
+                                 packet_bits=update_bits(DEFAULT_PAYLOAD_BYTES)):
+    """Mean time through one station of the packets it delivers, under Poisson arrivals.
 
-    The warm-up skips the first tenth of `packets` among those delivered.
+    The warm-up skips the first tenth of the `packets` arrivals. Raises
+    ValueError when the station delivers none of the arrivals after it.
     """
     arrivals = random.Random(f"{seed}/arrivals")
     hop = StationQueue(station_cfg, random.Random(f"{seed}/service"))
-    skip = int(packets * 0.1)
+    skip = int(packets * DEFAULT_WARMUP_FRAC)
     t, total, counted = 0.0, 0.0, 0
-    for _ in range(packets):
+    for n in range(packets):
         passed = hop.enter(t, packet_bits)
-        if passed is not None:
-            if skip:
-                skip -= 1
-            else:
-                total += passed[1] - t
-                counted += 1
+        if passed is not None and n >= skip:
+            total += passed[1] - t
+            counted += 1
         t += arrivals.expovariate(arrival_rate)
+    if not counted:
+        raise ValueError(f"none of the {packets - skip} arrivals after the warm-up was delivered")
     return total / counted
 
 
 def rtt_vs_load_curve(station_cfg, rtt_base, loads, mode="analytic",
-                      packet_bits=8 * (UPDATE_HEADER_SIZE + 1024),
+                      packet_bits=update_bits(DEFAULT_PAYLOAD_BYTES),
                       packets=200_000, seed=0):
     """Mean round-trip time per offered load through a single station.
 
@@ -600,8 +600,8 @@ class SweepResult:
     curve: tuple
 
 
-def sweep_min_age(station_rate_bits, rates, duration, seed=0, payload_bytes=1024,
-                  warmup_frac=0.1, stations=2):
+def sweep_min_age(station_rate_bits, rates, duration, seed=0,
+                  payload_bytes=DEFAULT_PAYLOAD_BYTES, stations=2):
     """Find the update rate minimizing age over an exponential tandem.
 
     Each candidate rate runs one memoryless (Poisson) source over
@@ -623,10 +623,9 @@ def sweep_min_age(station_rate_bits, rates, duration, seed=0, payload_bytes=1024
             seed=seed,
             payload_bytes=payload_bytes,
             ack_path="instant",
-            record_trace=False,
         )
         result = run_simulation(cfg)
-        horizon = default_horizon(0.0, duration, warmup_frac)
+        horizon = default_horizon(0.0, duration)
         deliveries = [(r, g) for r, _, g in result.delivery_rows(0)]
         trace = age_trace_from_deliveries(deliveries, horizon)
         age = time_average_age(trace, horizon)

@@ -5,14 +5,13 @@ only supplies wall clocks, datagram IO and CSV output. All timers run on
 the monotonic clock relative to session start, and generation timestamps
 travel as that clock's nanoseconds, so round-trip math never needs the
 peer's clock. The proxy relays datagrams between a source-facing and a
-monitor-facing socket, applying per-direction delay and loss; with
-reordering disabled it never releases a datagram before an earlier one of
-the same direction.
+monitor-facing socket, applying the same delay and loss in each
+direction; with reordering disabled it never releases a datagram before an
+earlier one of the same direction.
 """
 
 import heapq
 import logging
-import os
 import random
 import select
 import socket
@@ -21,9 +20,9 @@ from dataclasses import dataclass
 
 from .csvio import ack_csv_path, write_ack_log, write_epoch_log, write_monitor_log
 from .endpoints import Monitor, make_source
-from .estimation import DEFAULT_SMOOTHING
 from .wire import (
     DEFAULT_PAYLOAD_BYTES,
+    OutOfRange,
     WireError,
     decode_ack,
     decode_update,
@@ -33,7 +32,6 @@ from .wire import (
 
 log = logging.getLogger(__name__)
 
-SEED_ENV_VAR = "AGECTL_SEED"
 CONSTANT = "constant"
 EXPONENTIAL = "exponential"
 
@@ -74,18 +72,19 @@ def _drain(readable):
 
 
 def run_source(peer, mode, duration, out, payload_bytes=DEFAULT_PAYLOAD_BYTES,
-               alpha=DEFAULT_SMOOTHING, listen=None, stop=None):
+               listen=None, stop=None):
     """Drive an update source against a remote monitor; returns exit status.
 
     Writes the per-epoch controller log to `out` and the per-ACK RTT
     samples next to it (needed to estimate age when only this end's clock
     is trusted). The socket stays unconnected, so an ICMP error from the
-    peer cannot end the session; forged ACKs are counted and dropped.
+    peer cannot end the session; forged ACKs are counted and dropped. When
+    seq outgrows the wire's 32 bits the session ends early, logs written.
     """
     peer_addr = _parse_addr(peer) if isinstance(peer, str) else peer
     try:
         with _bound_socket(listen or ("0.0.0.0", 0)) as sock:
-            source = make_source(mode, payload_bytes=payload_bytes, alpha=alpha)
+            source = make_source(mode, payload_bytes=payload_bytes)
             decode_errors = 0
             t0 = time.monotonic()
 
@@ -93,37 +92,40 @@ def run_source(peer, mode, duration, out, payload_bytes=DEFAULT_PAYLOAD_BYTES,
                 for pkt in packets:
                     sock.sendto(encode_update(pkt), peer_addr)
 
-            if duration > 0:
-                send_all(source.start(0.0))
-            while True:
-                now = time.monotonic() - t0
-                if now >= duration or (stop is not None and stop.is_set()):
-                    break
-                deadlines = [t for _, t in source.timers()]
-                timeout = min(deadlines) - now if deadlines else _POLL
-                readable = _wait_readable([sock], min(timeout, duration - now))
-                now = time.monotonic() - t0
-                for _, data, _ in _drain(readable):
-                    try:
-                        ack = decode_ack(data)
-                    except WireError as exc:
-                        decode_errors += 1
-                        log.debug("undecodable ack datagram: %s", exc)
-                        continue
-                    send_all(source.on_ack(ack, now))
+            try:
+                if duration > 0:
+                    send_all(source.start(0.0))
                 while True:
                     now = time.monotonic() - t0
-                    due = [(t, kind) for kind, t in source.timers() if t <= now]
-                    if not due:
+                    if now >= duration or (stop is not None and stop.is_set()):
                         break
-                    _, kind = min(due)
-                    send_all(source.fire(kind, now))
+                    deadlines = [t for _, t in source.timers()]
+                    timeout = min(deadlines) - now if deadlines else _POLL
+                    readable = _wait_readable([sock], min(timeout, duration - now))
+                    now = time.monotonic() - t0
+                    for _, data, _ in _drain(readable):
+                        try:
+                            ack = decode_ack(data)
+                        except WireError as exc:
+                            decode_errors += 1
+                            log.debug("undecodable ack datagram: %s", exc)
+                            continue
+                        send_all(source.on_ack(ack, now))
+                    while True:
+                        now = time.monotonic() - t0
+                        due = [(t, kind) for kind, t in source.timers() if t <= now]
+                        if not due:
+                            break
+                        _, kind = min(due)
+                        send_all(source.fire(kind, now))
+            except OutOfRange as exc:  # the wire's seq space is used up
+                log.warning("session ended early: %s", exc)
         write_epoch_log(out, source.epoch_rows)
         write_ack_log(ack_csv_path(out), source.ack_log)
         if decode_errors:
             log.warning("%d undecodable datagrams ignored", decode_errors)
         if source.violations:
-            log.warning("%d acks for never-sent updates dropped", source.violations)
+            log.warning("%d acks for unsent seqs or mismatched gen_ts dropped", source.violations)
         return 0
     except OSError as exc:
         log.error("source socket failure: %s", exc)
@@ -168,31 +170,24 @@ def run_monitor(listen, duration, out, stop=None):
 class ProxyConfig:
     """Relay between a source-facing and a monitor-facing UDP socket.
 
-    delay/loss apply per direction as (forward, reverse) pairs; scalars
-    mean the same value both ways. With reorder off, each direction is
-    released strictly FIFO even when sampled delays would overtake.
+    delay and loss apply in each direction alike. With reorder off, each
+    direction is released strictly FIFO even when sampled delays would
+    overtake.
     """
 
     listen: str
     forward: str
-    delay: float = 0.0  # seconds each way, or (fwd, rev)
+    delay: float = 0.0  # seconds each way
     delay_dist: str = CONSTANT  # or EXPONENTIAL (delay = mean)
-    loss: float = 0.0  # probability each way, or (fwd, rev)
+    loss: float = 0.0  # probability each way
     reorder: bool = False
     seed: int | None = None
 
-    def pair(self, value):
-        if isinstance(value, (tuple, list)):
-            return float(value[0]), float(value[1])
-        return float(value), float(value)
-
     def __post_init__(self):
-        for d in self.pair(self.delay):
-            if d < 0:
-                raise ValueError("delays must be non-negative")
-        for p in self.pair(self.loss):
-            if not 0 <= p < 1:
-                raise ValueError("loss probability must be in [0, 1)")
+        if self.delay < 0:
+            raise ValueError("delays must be non-negative")
+        if not 0 <= self.loss < 1:
+            raise ValueError("loss probability must be in [0, 1)")
         if self.delay_dist not in (CONSTANT, EXPONENTIAL):
             raise ValueError(f"unknown delay distribution {self.delay_dist!r}")
 
@@ -206,13 +201,7 @@ class ProxyStats:
 
 def run_proxy(cfg: ProxyConfig, duration=None, stop=None, stats=None):
     """Forward datagrams with sampled delay and loss until stopped."""
-    seed = cfg.seed
-    if seed is None:
-        env = os.environ.get(SEED_ENV_VAR)
-        seed = int(env) if env else None
-    rng = random.Random(seed)
-    delays = cfg.pair(cfg.delay)
-    losses = cfg.pair(cfg.loss)
+    rng = random.Random(cfg.seed)
     stats = stats if stats is not None else ProxyStats()
 
     try:
@@ -226,11 +215,10 @@ def run_proxy(cfg: ProxyConfig, duration=None, stop=None, stats=None):
             last_release = [0.0, 0.0]
             t0 = time.monotonic()
 
-            def sample_delay(direction):
-                mean = delays[direction]
-                if cfg.delay_dist == CONSTANT or mean == 0:
-                    return mean
-                return rng.expovariate(1.0 / mean)
+            def sample_delay():
+                if cfg.delay_dist == CONSTANT or cfg.delay == 0:
+                    return cfg.delay
+                return rng.expovariate(1.0 / cfg.delay)
 
             while True:
                 now = time.monotonic() - t0
@@ -254,10 +242,10 @@ def run_proxy(cfg: ProxyConfig, duration=None, stop=None, stats=None):
                             continue  # nothing to return to yet
                         out = (sock_src, source_addr)
                     stats.received[direction] += 1
-                    if losses[direction] and rng.random() < losses[direction]:
+                    if cfg.loss and rng.random() < cfg.loss:
                         stats.dropped[direction] += 1
                         continue
-                    release = now + sample_delay(direction)
+                    release = now + sample_delay()
                     if not cfg.reorder:
                         release = max(release, last_release[direction])
                         last_release[direction] = release

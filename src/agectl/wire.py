@@ -31,6 +31,11 @@ MAX_PAYLOAD = MAX_DATAGRAM - UPDATE_HEADER_SIZE
 DEFAULT_PAYLOAD_BYTES = 1024
 
 
+def update_bits(payload_bytes: int) -> int:
+    """Size in bits of an update datagram carrying `payload_bytes` of payload."""
+    return 8 * (UPDATE_HEADER_SIZE + payload_bytes)
+
+
 class WireError(Exception):
     """Base class for encode/decode failures."""
 
@@ -53,6 +58,10 @@ class LengthMismatch(WireError):
 
 class PayloadTooLarge(WireError):
     """Payload would not fit in a single datagram."""
+
+
+class OutOfRange(WireError):
+    """seq (32 bits) or gen_ts (64 bits) does not fit its header field."""
 
 
 @dataclass(frozen=True)
@@ -85,9 +94,10 @@ def encode_update(pkt: UpdatePacket) -> bytes:
         raise PayloadTooLarge(
             f"payload of {pkt.payload_len} bytes exceeds {MAX_PAYLOAD}"
         )
-    header = _UPDATE_HEADER.pack(
-        UPDATE_MAGIC, VERSION, pkt.seq, pkt.gen_ts, pkt.payload_len
-    )
+    try:
+        header = _UPDATE_HEADER.pack(UPDATE_MAGIC, VERSION, pkt.seq, pkt.gen_ts, pkt.payload_len)
+    except struct.error:
+        raise OutOfRange(f"seq {pkt.seq} or gen_ts {pkt.gen_ts} out of range") from None
     return header + pkt.payload
 
 
@@ -108,7 +118,10 @@ def decode_update(buf: bytes) -> UpdatePacket:
 
 
 def encode_ack(ack: AckPacket) -> bytes:
-    return _ACK_FORMAT.pack(ACK_MAGIC, VERSION, ack.seq, ack.gen_ts)
+    try:
+        return _ACK_FORMAT.pack(ACK_MAGIC, VERSION, ack.seq, ack.gen_ts)
+    except struct.error:
+        raise OutOfRange(f"seq {ack.seq} or gen_ts {ack.gen_ts} out of range") from None
 
 
 def decode_ack(buf: bytes) -> AckPacket:

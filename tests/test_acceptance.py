@@ -168,7 +168,7 @@ def test_criterion_4a_deterministic_pipeline_exact():
     st = StationConfig(service=DETERMINISTIC, rate=PACKET_BITS / service)
     cfg = SimConfig(stations=(st, st, st), n_sources=1,
                     protocol=f"constant:{1 / service}", duration=1.0, seed=1,
-                    ack_path="instant")
+                    ack_path="instant", record_trace=True)
     result = run_simulation(cfg)
     gen = {q: t for t, _, k, q in result.trace if k == GENERATED}
     dlv = {q: t for t, _, k, q in result.trace if k == DELIVERED}

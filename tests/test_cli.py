@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from agectl.cli import (
     parse_spec,
 )
 from agectl.csvio import write_ack_log, write_epoch_log, write_monitor_log
+from agectl.netsim import DETERMINISTIC, MultiaccessConfig, StationConfig
 
 SPEC_TEXT = """
 name = tiny
@@ -78,6 +81,76 @@ class TestSpecParsing:
         b = spec.sim_config(1, "acp+", 1).seed
         assert a == spec.sim_config(1, "acp+", 0).seed
         assert a != b
+
+
+class TestSpecKeys:
+    MINIMAL = "duration = 2\n[multiaccess]\nslot = 1e-4\n[station]\nrate = 6e6\n"
+
+    @pytest.mark.parametrize("good, bad, where", [
+        ("duration = 2", "duraton = 2", "top level"),
+        ("slot = 1e-4", "persistance = 0.9", "[multiaccess]"),
+        ("rate = 6e6", "rate = 6e6\nbufer = 2", "[station 1]"),
+    ])
+    def test_misspelt_key_is_named(self, good, bad, where):
+        ExperimentSpec(self.MINIMAL)
+        with pytest.raises(SpecError, match=re.escape(f"{where}: unknown key '{bad.split()[-3]}'")):
+            ExperimentSpec(self.MINIMAL.replace(good, bad))
+
+    @pytest.mark.parametrize("line", ["sorces = 4", "bootstrap_rate = 2", "n_sources = 4",
+                                      "stations = 1"])
+    def test_keys_that_name_no_setting_are_rejected(self, line):
+        with pytest.raises(SpecError, match=line.split()[0]):
+            ExperimentSpec(line + "\n" + self.MINIMAL)
+
+    def test_non_integral_int_is_rejected(self):
+        spec = self.MINIMAL.replace("slot = 1e-4", "max_backoff_exp = 5.5")
+        with pytest.raises(SpecError, match="max_backoff_exp must be int, got 5.5"):
+            ExperimentSpec(spec)
+        spec = ExperimentSpec(self.MINIMAL.replace("slot = 1e-4", "max_backoff_exp = 5.0"))
+        assert spec.base.multiaccess.max_backoff_exp == 5
+
+    def test_station_defaults_and_checks(self):
+        (station,) = ExperimentSpec(self.MINIMAL).base.stations
+        assert station == StationConfig(rate=6e6)
+        assert station.service == DETERMINISTIC and station.buffer is None
+        for bad, message in (("rate = -1", "station rate must be positive"),
+                             ("rate = 6e6\nbuffer = 0", "finite buffer"),
+                             ("rate = 6e6\nservice = uniform", "unknown service kind"),
+                             ("prop_delay = 0.002", ".*missing .*'rate'")):
+            with pytest.raises(SpecError, match=r"\[station 1\]: " + message):
+                ExperimentSpec(self.MINIMAL.replace("rate = 6e6", bad))
+
+    def test_readme_example_is_the_criterion_6_setup(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Experiment spec files", 1)[1]
+        spec = ExperimentSpec(section.split("```")[1])
+        assert spec.base.multiaccess == MultiaccessConfig(
+            link_rate=12e6, slot=2.5e-4, persistence=0.25, max_backoff_exp=5,
+            per_source_loss=0.01)
+        station = StationConfig(rate=6e6, buffer=100, prop_delay=0.002)
+        assert spec.base.stations == (station, station)
+        assert spec.base.duration == 60.0 and spec.repetitions == 10
+        assert spec.source_counts == [1, 6, 12, 24, 48] and spec.protocols == ["acp+", "lazy"]
+
+    def test_run_config_replaces_count_protocol_and_seed_only(self):
+        spec = ExperimentSpec(SPEC_TEXT)
+        cfg = spec.sim_config(2, "lazy", 1)
+        assert (cfg.n_sources, cfg.protocol) == (2, "lazy")
+        assert cfg.duration == 3.0 and not cfg.record_trace and cfg.stations == spec.base.stations
+        assert spec.warmup_frac == 0.2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[weird]\n", "line 1: unknown section [weird]"),
+    (TestSpecKeys.MINIMAL.replace("duration", "duraton"), "top level: unknown key 'duraton'"),
+    (TestSpecKeys.MINIMAL.replace("6e6", "-1"), "[station 1]: station rate must be positive"),
+])
+def test_simulate_reports_a_bad_spec_in_one_line(tmp_path, capsys, text, message):
+    spec = tmp_path / "bad.spec"
+    spec.write_text(text)
+    assert main(["simulate", str(spec), "--out", str(tmp_path / "runs")]) == 2
+    assert capsys.readouterr().err == f"{spec}: {message}\n"
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.fixture(scope="module")
@@ -276,3 +349,22 @@ def test_report_flags_an_unreadable_manifest(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "manifest.json: unreadable" in captured.err
     assert "monitor_000" in captured.out
+
+
+def test_rtt_curve_simulates_a_station_that_drops_most_arrivals(capsys):
+    # a one-packet buffer at 20x the service rate drops about 95% of the arrivals
+    for service in ("exponential", "deterministic"):
+        assert main(["rtt-curve", "--mode", "simulate", "--buffer", "1", "--loads", "20000",
+                     "--packets", "2000", "--service", service]) == 0
+    out = capsys.readouterr().out.split()
+    assert out[0] == out[2] == "20000.0" and float(out[1]) > 0
+    # a deterministic server never queues behind a one-packet buffer
+    assert float(out[3]) == pytest.approx(8 * (19 + 1024) / 8.344e6, abs=1e-6)
+
+
+def test_rtt_curve_with_nothing_delivered_after_the_warm_up_exits_2(capsys):
+    assert main(["rtt-curve", "--mode", "simulate", "--buffer", "1", "--loads", "1e9",
+                 "--packets", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err == "rtt-curve: none of the 9 arrivals after the warm-up was delivered\n"
+    assert len(err.splitlines()) == 1

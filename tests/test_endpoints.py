@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from agectl.controller import epoch_length, update_lambda
 from agectl.endpoints import (
     EPOCH,
     FALLBACK,
@@ -184,7 +185,7 @@ class TestLazySource:
 
 class TestAcpPlusSource:
     def drive_to_first_ack(self, rtt=0.1):
-        src = AcpPlusSource(bootstrap_rate=1.0)
+        src = AcpPlusSource()
         (p0,) = src.start(0.0)
         src.on_ack(ack_for(p0), rtt)
         return src
@@ -192,7 +193,7 @@ class TestAcpPlusSource:
     def test_bootstrap_rate_set_from_first_rtt(self):
         src = self.drive_to_first_ack(rtt=0.1)
         assert src.rate == pytest.approx(10.0)
-        assert src.controller_state.epoch_length == pytest.approx(1.0)
+        assert epoch_length(src.controller_state.rate) == pytest.approx(1.0)
         assert src.next_epoch_time == pytest.approx(0.1 + 1.0)
 
     def test_epoch_length_rescales_with_rate(self):
@@ -218,12 +219,33 @@ class TestAcpPlusSource:
         assert abs(b_k) < 1e-9 and abs(delta_k) < 1e-9
 
     def test_stalled_epochs_hold_rate(self):
-        src = AcpPlusSource(bootstrap_rate=1.0)
+        src = AcpPlusSource()
         src.start(0.0)
         for boundary in (10.0, 20.0, 30.0):
             src.fire(EPOCH, boundary)
         assert src.rate == 1.0
         assert [row[3] for row in src.epoch_rows] == ["hold", "hold", "hold"]
+
+    def test_stalled_epoch_after_control_starts_reuses_averages(self):
+        src = self.drive_to_first_ack(rtt=0.1)
+        now = 0.1
+        for _ in range(2):  # init, then one controlled epoch
+            for _ in range(10):
+                (pkt,) = src.fire(SEND, now)
+                src.on_ack(ack_for(pkt), now + 0.1)
+                now += 0.1
+            src.fire(EPOCH, src.next_epoch_time)
+        assert [row[3] for row in src.epoch_rows] == ["init", "dec"]
+        # no ACK in the next two epochs: b_k = delta_k = 0, and control still acts
+        for _ in range(2):
+            prev = src.rate
+            src.fire(SEND, src.next_epoch_time - 0.01)
+            src.fire(EPOCH, src.next_epoch_time)
+            _, _, rate, action, b_star, b_k, delta_k, flag, gamma = src.epoch_rows[-1]
+            assert (action, b_star, b_k, delta_k) == ("dec", -1.0, 0.0, 0.0)
+            est = src.estimator
+            assert rate == src.rate == update_lambda(prev, est.z_bar, est.rtt_bar, -1.0)
+            assert src.rate == pytest.approx(0.75 * prev)  # 1/z_bar - 1/rtt_bar is clamped
 
     def test_rate_moves_within_clamp_band(self):
         src = self.drive_to_first_ack(rtt=0.1)
@@ -291,7 +313,3 @@ def test_poisson_mode_draws_exponential_gaps_from_rng():
     gaps = [b - a for a, b in zip([0.0] + live, live)]
     assert len(set(gaps)) == 20 and min(gaps) > 0
 
-
-def test_make_source_bootstrap_rate_reaches_acp_only():
-    assert make_source("acp+", bootstrap_rate=4.0).rate == 4.0
-    assert make_source("constant:2", bootstrap_rate=4.0).rate == 2.0

@@ -192,11 +192,6 @@ class TestSummarize:
         assert stats.avg_age == pytest.approx((0.5 + 0.75 + 0.46875) / 2.25)
         assert stats.delivered_count == 2
 
-    def test_explicit_sent_count(self):
-        log = [(0.1, 0, 0.0), (0.2, 1, 0.1)]
-        stats = summarize(log, (0.0, 1.0), payload_bytes=100, sent_count=10)
-        assert stats.loss_fraction == pytest.approx(0.8)
-
 
 def test_default_horizon_trims_warmup():
     assert default_horizon(0.0, 10.0) == (1.0, 10.0)

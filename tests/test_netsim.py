@@ -49,7 +49,7 @@ class TestDeterministicPipeline:
         st = StationConfig(service=DETERMINISTIC, rate=rate_bits)
         cfg = SimConfig(stations=(st, st, st), n_sources=1,
                         protocol=f"constant:{1 / service}", duration=duration,
-                        seed=1, ack_path="instant")
+                        seed=1, ack_path="instant", record_trace=True)
         return run_simulation(cfg), service
 
     def test_every_delay_is_three_service_times(self):
@@ -74,7 +74,8 @@ class TestDeterministicPipeline:
 def test_same_config_and_seed_replays_identical_trace():
     st = StationConfig(service=EXPONENTIAL, rate=6e6, buffer=50, prop_delay=1e-3)
     cfg = SimConfig(stations=(st,), n_sources=3, protocol="acp+", duration=5.0,
-                    seed=77, multiaccess=MultiaccessConfig(per_source_loss=0.05))
+                    seed=77, multiaccess=MultiaccessConfig(per_source_loss=0.05),
+                    record_trace=True)
     a = run_simulation(cfg)
     b = run_simulation(cfg)
     assert a.trace == b.trace
@@ -83,7 +84,8 @@ def test_same_config_and_seed_replays_identical_trace():
 
 def test_different_seed_changes_trace():
     st = StationConfig(service=EXPONENTIAL, rate=6e6)
-    base = dict(stations=(st,), n_sources=1, protocol="poisson:200", duration=2.0)
+    base = dict(stations=(st,), n_sources=1, protocol="poisson:200", duration=2.0,
+                record_trace=True)
     a = run_simulation(SimConfig(seed=1, **base))
     b = run_simulation(SimConfig(seed=2, **base))
     assert a.trace != b.trace
@@ -249,7 +251,7 @@ class TestFutureRows:
         fast = StationConfig(service=DETERMINISTIC, rate=PACKET_BITS / 0.01, prop_delay=0.3)
         slow = StationConfig(service=DETERMINISTIC, rate=PACKET_BITS / 0.25, buffer=1)
         cfg = SimConfig(stations=(fast, slow), protocol="constant:10", duration=self.DURATION,
-                        seed=1, ack_path="instant")
+                        seed=1, ack_path="instant", record_trace=True)
         return run_simulation(cfg)
 
     def test_second_hop_drop_is_recorded_at_its_own_time(self):
@@ -289,7 +291,8 @@ class TestConservation:
         ma = MultiaccessConfig(per_source_loss=0.1)
         st = StationConfig(service=EXPONENTIAL, rate=4e6, buffer=5, prop_delay=2e-3)
         cfg = SimConfig(stations=(st, st), n_sources=4, protocol="poisson:150",
-                        duration=5.0, seed=13, multiaccess=ma, ack_path=ack_path)
+                        duration=5.0, seed=13, multiaccess=ma, ack_path=ack_path,
+                        record_trace=True)
         result = run_simulation(cfg)
         census = result.resident_census()
         for i in range(4):
@@ -313,7 +316,7 @@ class TestConservation:
 def test_fcfs_service_order_matches_arrival_order():
     st = StationConfig(service=EXPONENTIAL, rate=5e6)
     cfg = SimConfig(stations=(st,), n_sources=2, protocol="poisson:200,poisson:170",
-                    duration=3.0, seed=21, ack_path="instant")
+                    duration=3.0, seed=21, ack_path="instant", record_trace=True)
     result = run_simulation(cfg)
     enq = [(s, q) for _, s, k, q in result.trace if k == ENQUEUED]
     srv = [(s, q) for _, s, k, q in result.trace if k == SERVICE_START]
@@ -428,7 +431,7 @@ def test_lazy_sim_backlog_near_one():
 def test_trace_rows_follow_packet_lifecycle():
     st = StationConfig(service=EXPONENTIAL, rate=4e6, prop_delay=1e-3)
     cfg = SimConfig(stations=(st, st), n_sources=2, protocol="poisson:100",
-                    duration=3.0, seed=17)
+                    duration=3.0, seed=17, record_trace=True)
     result = run_simulation(cfg)
     order = {GENERATED: 0, ENQUEUED: 1, SERVICE_START: 2, DELIVERED: 3}
     progress = {}

@@ -1,4 +1,5 @@
 import csv
+import logging
 import math
 import socket
 import threading
@@ -296,6 +297,51 @@ class TestLiveEndpoints:
         assert made[0].violations == 1
         acks = read_ack_log(ack_csv_path(out))
         assert acks[0][1] == first.seq and all(0 <= rtt < 1.0 for _, _, rtt in acks)
+        assert out.exists()
+
+    def test_session_ends_cleanly_when_the_seq_space_runs_out(self, tmp_path, monkeypatch,
+                                                              caplog):
+        made = []
+        factory = transport.make_source
+
+        def near_the_end(*args, **kw):
+            made.append(factory(*args, **kw))
+            made[-1].next_seq = 2**32 - 3
+            return made[-1]
+
+        monkeypatch.setattr(transport, "make_source", near_the_end)
+        mon_port = free_port()
+        out = tmp_path / "src.csv"
+        received = []
+
+        def monitor_loop(mon):
+            while True:
+                try:
+                    data, addr = mon.recvfrom(65535)
+                except socket.timeout:
+                    return
+                pkt = decode_update(data)
+                received.append(pkt.seq)
+                mon.sendto(encode_ack(AckPacket(seq=pkt.seq, gen_ts=pkt.gen_ts)), addr)
+
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as mon:
+            mon.bind((HOST, mon_port))
+            mon.settimeout(1.0)
+            t = threading.Thread(target=monitor_loop, args=(mon,))
+            t.start()
+            start = time.monotonic()
+            try:
+                with caplog.at_level(logging.WARNING, logger=transport.__name__):
+                    rc = run_source(f"{HOST}:{mon_port}", "constant:200", 5.0, str(out))
+                elapsed = time.monotonic() - start
+            finally:
+                t.join()
+        assert rc == 0 and elapsed < 2.0
+        # seq 2**32 does not fit the wire's 32-bit field, so the session ends before it
+        assert received == [2**32 - 3, 2**32 - 2, 2**32 - 1]
+        assert "session ended early" in caplog.text
+        acks = read_ack_log(ack_csv_path(out))
+        assert [seq for _, seq, _ in acks] == [seq for _, seq, _ in made[0].ack_log]
         assert out.exists()
 
     def test_refused_peer_does_not_end_the_session(self, tmp_path):

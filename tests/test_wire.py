@@ -7,14 +7,17 @@ from agectl.wire import (
     AckPacket,
     BadMagic,
     LengthMismatch,
+    OutOfRange,
     PayloadTooLarge,
     Truncated,
     UnsupportedVersion,
     UpdatePacket,
+    WireError,
     decode_ack,
     decode_update,
     encode_ack,
     encode_update,
+    update_bits,
 )
 
 
@@ -102,3 +105,18 @@ def test_oversize_payload_rejected():
 def test_ack_bytes_do_not_decode_as_update():
     with pytest.raises(Truncated):
         decode_update(encode_ack(AckPacket(seq=1, gen_ts=2)))
+
+
+@pytest.mark.parametrize("seq, gen_ts", [(2**32, 0), (-1, 0), (0, 2**64), (0, -1)])
+def test_fields_out_of_range_raise_a_wire_error(seq, gen_ts):
+    for encode, pkt in ((encode_update, UpdatePacket(seq=seq, gen_ts=gen_ts)),
+                        (encode_ack, AckPacket(seq=seq, gen_ts=gen_ts))):
+        with pytest.raises(OutOfRange) as exc:
+            encode(pkt)
+        assert isinstance(exc.value, WireError)
+    # the largest values still encode
+    assert decode_ack(encode_ack(AckPacket(seq=2**32 - 1, gen_ts=2**64 - 1))).seq == 2**32 - 1
+
+
+def test_update_bits_counts_header_and_payload():
+    assert update_bits(1024) == 8 * (UPDATE_HEADER_SIZE + 1024) == 8344
