@@ -169,8 +169,15 @@ class ExperimentSpec:
         self.source_counts = [_convert(v, int, "sweep_sources") for v in counts]
         if len(set(self.source_counts)) != len(self.source_counts):
             raise SpecError("sweep values must be distinct")
+        if min(self.source_counts) < 1:
+            raise SpecError(f"source counts must be >= 1, got {min(self.source_counts)}")
         protocols = _as_list(run.get("protocols", run.get("protocol", SimConfig.protocol)))
         self.protocols = [str(p) for p in protocols]
+        for mode in self.protocols:
+            try:
+                parse_mode(mode)
+            except ValueError as exc:
+                raise SpecError(f"protocols: {exc}") from None
         self.base = _build(
             SimConfig, top, "top level", exclude=("n_sources", "protocol"),
             stations=tuple(_build(StationConfig, block, f"[station {i}]")
@@ -268,10 +275,9 @@ def _execute_run(args):
 
 
 def cmd_simulate(spec_path, out_dir, jobs=1):
-    spec_text = Path(spec_path).read_text()
     try:
-        spec = ExperimentSpec(spec_text)
-    except SpecError as exc:
+        spec = ExperimentSpec(Path(spec_path).read_text())
+    except (SpecError, OSError) as exc:
         print(f"{spec_path}: {exc}", file=sys.stderr)
         return 2
     out = Path(out_dir) / spec.name

@@ -14,8 +14,10 @@ moment it enters (Lindley's recursion). An update is carried through every
 station when it enters the tandem and leaves one delivery event at the
 monitor, or one drop event at the hop that refuses it; an ACK crosses the
 reverse stations and the downlink the same way to one event at its source.
-The channel settles a frame's outcome when the frame starts. Trace rows of
-the hops are written ahead of time and sorted by time when the run ends.
+The channel settles a frame's outcome when the frame starts. It keeps its
+waiters in buckets by grid slot, so all the senders of one attempt come out
+of one heap pop, and at most one of its attempt events is live. Trace rows
+of the hops are written ahead of time and sorted by time when the run ends.
 
 Every random stream is derived from (seed, entity id), so adding a source
 or station never perturbs the draws of the others, and identical
@@ -213,8 +215,12 @@ class MultiaccessChannel:
 
     Countdowns freeze while the channel is busy (the frozen backoff of
     802.11 DCF), so a frame delays every waiter by the same number of
-    slots. Each waiter keeps one (key, station) entry in a heap and
-    attempts in grid slot key + shift; a frame only advances `shift`.
+    slots. Waiters sit in slot buckets: a waiter that attempts in grid slot
+    key + shift is listed in `buckets[key]`, and `slots` is a heap of the
+    keys in `buckets`. The earliest bucket holds all the senders of the
+    next attempt, and a frame only advances `shift`. One attempt event is
+    live at a time, for grid slot `next_attempt`; an arrival to a busy
+    channel schedules a new one only when it attempts earlier.
 
     A frame's outcome is settled when it starts: the winner leaves its
     queue, the senders draw their next countdowns and the loss is drawn.
@@ -233,12 +239,16 @@ class MultiaccessChannel:
         self.horizon = horizon
         self.queues = [deque() for _ in range(n_sources)]
         self.attempts = [0] * n_sources
-        self.heap = []  # (key, station): next attempt in grid slot key + shift
+        self.buckets = {}  # key -> stations attempting in grid slot key + shift
+        self.slots = []  # heap of the keys of buckets
         self.shift = 0
+        self.next_attempt = math.inf  # grid slot of the live attempt event
+        # log(1 - p) of the geometric countdown; None when p = 1 draws nothing
+        self.log_q = math.log(1.0 - cfg.persistence) if cfg.persistence < 1.0 else None
         self.rngs = [random.Random(f"{seed}/ma/{i}") for i in range(n_sources)]
         self.loss_rngs = [random.Random(f"{seed}/ma-loss/{i}") for i in range(n_sources)]
         self.busy_until = 0.0
-        self.serial = 0  # invalidates scheduled attempt events on re-targeting
+        self.serial = 0  # invalidates superseded attempt events
         self.access_delays = []  # enqueue-to-transmission-end, successes only
         self.collisions = 0
         self.lost = 0
@@ -251,61 +261,77 @@ class MultiaccessChannel:
         if self.tracer:
             self.tracer(now, ENQUEUED, pkt)
         if not fresh:
-            return  # not head of line yet; targeted when it gets there
-        if now >= self.busy_until and not self.heap:
+            return  # not head of line yet; it waits when it gets there
+        if now >= self.busy_until and not self.slots:
             self._transmit([src])  # idle channel, sole contender: go now
-        else:
-            self._wait(src, self._slot_after(max(now, self.busy_until)) + self._geom(src))
-            self._schedule_attempt()
+            return
+        slot = self._slot_after(max(now, self.busy_until)) + self._geom(self.rngs[src])
+        self._wait(src, slot - self.shift)
+        if slot < self.next_attempt:
+            self._schedule(slot)
 
-    def _wait(self, src, slot):
-        heapq.heappush(self.heap, (slot - self.shift, src))
+    def _wait(self, src, key):
+        """List src among the stations attempting in grid slot key + shift."""
+        bucket = self.buckets.get(key)
+        if bucket is None:
+            self.buckets[key] = [src]
+            heapq.heappush(self.slots, key)
+        else:
+            bucket.append(src)
 
     def _slot_after(self, t):
         return math.ceil(t / self.cfg.slot - 1e-9)
 
-    def _geom(self, src):
+    def _geom(self, rng):
         """Idle slots until a persistence-p station attempts (0-based)."""
-        p = self.cfg.persistence
-        if p >= 1.0:
+        if self.log_q is None:
             return 0
-        u = 1.0 - self.rngs[src].random()  # (0, 1]
-        return int(math.log(u) / math.log(1.0 - p))
+        return int(math.log(1.0 - rng.random()) / self.log_q)  # 1 - random() is in (0, 1]
 
-    def _schedule_attempt(self):
-        if not self.heap:
-            return
+    def _schedule(self, slot):
         self.serial += 1
-        t = self.heap[0][0] + self.shift
-        self.evq.push(t * self.cfg.slot, PRIO_SLOT, self._attempt, self.serial, t)
+        self.next_attempt = slot
+        self.evq.push(slot * self.cfg.slot, PRIO_SLOT, self._attempt, self.serial, slot)
 
     def _attempt(self, serial, t):
         if serial != self.serial:
-            return  # superseded by re-targeting
-        senders = []
-        while self.heap and self.heap[0][0] + self.shift == t:
-            senders.append(heapq.heappop(self.heap)[1])
-        self._transmit(senders)
+            return  # superseded by an earlier attempt
+        key = heapq.heappop(self.slots)
+        assert key + self.shift == t
+        self._transmit(self.buckets.pop(key))
 
     def _transmit(self, senders):
         now = self.evq.now
-        self.serial += 1  # invalidate any pending attempt event
+        cfg = self.cfg
         queues = self.queues
+        slots = self.slots
         bits = max(queues[i][0][0].bits for i in senders)
-        end = self.busy_until = now + bits / self.cfg.link_rate
+        end = self.busy_until = now + bits / cfg.link_rate
         resume = self._slot_after(end)
         attempt_slot = self._slot_after(now)
         # stations that lost this round resume their countdown after the frame
-        assert not self.heap or self.heap[0][0] + self.shift > attempt_slot
+        assert not slots or slots[0] + self.shift > attempt_slot
         self.shift += resume - attempt_slot
+        base = resume - self.shift  # key of the resume slot
         counted = end <= self.horizon
         if len(senders) > 1:
             if counted:
                 self.collisions += 1
-            for i in senders:
-                self.attempts[i] += 1
-                window = 1 << min(self.attempts[i], self.cfg.max_backoff_exp)
-                self._wait(i, resume + self.rngs[i].randrange(window) + self._geom(i))
+            attempts, rngs, buckets = self.attempts, self.rngs, self.buckets
+            cap, log_q = cfg.max_backoff_exp, self.log_q
+            log, heappush = math.log, heapq.heappush
+            for i in senders:  # _geom and _wait, inlined in the hottest loop
+                n = attempts[i] = attempts[i] + 1
+                rng = rngs[i]
+                key = base + rng.randrange(1 << min(n, cap))
+                if log_q is not None:
+                    key += int(log(1.0 - rng.random()) / log_q)
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = [i]
+                    heappush(slots, key)
+                else:
+                    bucket.append(i)
         else:
             src = senders[0]
             pkt, enq_time = queues[src].popleft()
@@ -313,12 +339,15 @@ class MultiaccessChannel:
             if counted:
                 self.access_delays.append(end - enq_time)
             if queues[src]:
-                self._wait(src, resume + self._geom(src))
-            if self.cfg.per_source_loss and self.loss_rngs[src].random() < self.cfg.per_source_loss:
+                self._wait(src, base + self._geom(self.rngs[src]))
+            if cfg.per_source_loss and self.loss_rngs[src].random() < cfg.per_source_loss:
                 self.evq.push(end, PRIO_PACKET, self._lose, pkt)
             else:
                 self.sink(pkt, end)
-        self._schedule_attempt()
+        if slots:
+            self._schedule(slots[0] + self.shift)
+        else:
+            self.next_attempt = math.inf
 
     def _lose(self, pkt):
         self.lost += 1

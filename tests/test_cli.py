@@ -144,12 +144,25 @@ class TestSpecKeys:
     ("[weird]\n", "line 1: unknown section [weird]"),
     (TestSpecKeys.MINIMAL.replace("duration", "duraton"), "top level: unknown key 'duraton'"),
     (TestSpecKeys.MINIMAL.replace("6e6", "-1"), "[station 1]: station rate must be positive"),
+    ("protocols = acp+,tcp\n" + TestSpecKeys.MINIMAL,
+     "protocols: unknown mode 'tcp': use acp+, lazy, constant:<rate> or poisson:<rate>"),
+    ("protocol = constant:0\n" + TestSpecKeys.MINIMAL,
+     "protocols: constant mode needs a positive rate, e.g. constant:100, got 'constant:0'"),
+    ("sweep_sources = 1,0\n" + TestSpecKeys.MINIMAL, "source counts must be >= 1, got 0"),
+    ("sources = -2\n" + TestSpecKeys.MINIMAL, "source counts must be >= 1, got -2"),
 ])
 def test_simulate_reports_a_bad_spec_in_one_line(tmp_path, capsys, text, message):
     spec = tmp_path / "bad.spec"
     spec.write_text(text)
     assert main(["simulate", str(spec), "--out", str(tmp_path / "runs")]) == 2
     assert capsys.readouterr().err == f"{spec}: {message}\n"
+    assert not (tmp_path / "runs").exists()
+
+
+def test_simulate_reports_a_missing_spec_in_one_line(tmp_path, capsys):
+    spec = tmp_path / "nope.spec"
+    assert main(["simulate", str(spec), "--out", str(tmp_path / "runs")]) == 2
+    assert capsys.readouterr().err == f"{spec}: [Errno 2] No such file or directory: '{spec}'\n"
     assert not (tmp_path / "runs").exists()
 
 

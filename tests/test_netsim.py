@@ -16,7 +16,10 @@ from agectl.netsim import (
     ENQUEUED,
     EXPONENTIAL,
     GENERATED,
+    PRIO_PACKET,
+    PRIO_SLOT,
     SERVICE_START,
+    EventQueue,
     MultiaccessChannel,
     MultiaccessConfig,
     SimConfig,
@@ -206,6 +209,127 @@ def test_frames_ending_after_the_horizon_are_left_out_of_the_statistics():
     assert channel.collisions == 0
 
 
+class ReferenceChannel:
+    """Brute-force MultiaccessChannel: absolute target slots and a linear min.
+
+    Each waiter keeps the grid slot of its next attempt. A frame moves every
+    other waiter by resume - attempt_slot, and every change of the targets
+    schedules a fresh attempt event that supersedes the last. Draws come
+    from the channel's per-station streams in its order: the geometric
+    countdown, and randrange then the countdown after a collision.
+    """
+
+    def __init__(self, evq, cfg, n_sources, seed, sink):
+        self.evq, self.cfg, self.sink = evq, cfg, sink
+        self.queues = [[] for _ in range(n_sources)]
+        self.attempts = [0] * n_sources
+        self.target = {}  # station -> grid slot of its next attempt
+        self.rngs = [random.Random(f"{seed}/ma/{i}") for i in range(n_sources)]
+        self.busy_until = 0.0
+        self.generation = 0
+        self.access_delays = []
+        self.collisions = 0
+
+    def slot_after(self, t):
+        return math.ceil(t / self.cfg.slot - 1e-9)
+
+    def geom(self, src):
+        p = self.cfg.persistence
+        if p == 1.0:
+            return 0
+        return int(math.log(1.0 - self.rngs[src].random()) / math.log(1.0 - p))
+
+    def accept(self, src, pkt):
+        now = self.evq.now
+        self.queues[src].append((pkt, now))
+        if len(self.queues[src]) > 1:
+            return
+        if now >= self.busy_until and not self.target:
+            self.transmit([src])
+        else:
+            self.target[src] = self.slot_after(max(now, self.busy_until)) + self.geom(src)
+            self.reschedule()
+
+    def reschedule(self):
+        self.generation += 1
+        if self.target:
+            t = min(self.target.values())
+            self.evq.push(t * self.cfg.slot, PRIO_SLOT, self.attempt, self.generation, t)
+
+    def attempt(self, generation, t):
+        if generation == self.generation:
+            self.transmit([i for i, slot in sorted(self.target.items()) if slot == t])
+
+    def transmit(self, senders):
+        now = self.evq.now
+        for i in senders:
+            self.target.pop(i, None)
+        end = self.busy_until = now + max(self.queues[i][0][0].bits for i in senders)\
+            / self.cfg.link_rate
+        resume, attempt_slot = self.slot_after(end), self.slot_after(now)
+        assert all(slot > attempt_slot for slot in self.target.values())
+        for i in self.target:
+            self.target[i] += resume - attempt_slot
+        if len(senders) > 1:
+            self.collisions += 1
+            for i in senders:
+                self.attempts[i] += 1
+                window = 1 << min(self.attempts[i], self.cfg.max_backoff_exp)
+                self.target[i] = resume + self.rngs[i].randrange(window) + self.geom(i)
+        else:
+            src = senders[0]
+            pkt, enq_time = self.queues[src].pop(0)
+            self.attempts[src] = 0
+            self.access_delays.append(end - enq_time)
+            if self.queues[src]:
+                self.target[src] = resume + self.geom(src)
+            self.sink(pkt, end)
+        self.reschedule()
+
+
+def drive_channel(make, n_sources, persistence, max_backoff_exp, seed):
+    """Deliveries (end, src, seq), collisions and access delays under seeded arrivals.
+
+    Bursts of 1 to 4 back-to-back arrivals at a random station come about
+    every 0.6 frame times; a quarter of them fall exactly on a slot edge,
+    where an attempt may be due at the same instant. Frames last 0.7 to
+    4.8 slots.
+    """
+    cfg = MultiaccessConfig(link_rate=12e6, slot=2.5e-4, persistence=persistence,
+                            max_backoff_exp=max_backoff_exp)
+    evq = EventQueue()
+    delivered = []
+    channel = make(evq, cfg, n_sources, seed,
+                   lambda pkt, end: delivered.append((end, pkt.src, pkt.seq)))
+    arrivals = random.Random(f"{seed}/arrivals")
+    seqs = [0] * n_sources
+    t = 0.0
+    for _ in range(120):
+        t += arrivals.expovariate(1.0 / 4e-4)
+        at = math.ceil(t / cfg.slot) * cfg.slot if arrivals.random() < 0.25 else t
+        src = arrivals.randrange(n_sources)
+        for _ in range(arrivals.randint(1, 4)):
+            pkt = SimPacket(src, seqs[src], arrivals.randint(2_000, 14_400), None, True)
+            seqs[src] += 1
+            evq.push(at, PRIO_PACKET, channel.accept, src, pkt)
+    # colliders at p = 1 with no backoff window collide for ever: stop the clock
+    evq.run_until(1.0)
+    return delivered, channel.collisions, channel.access_delays
+
+
+@pytest.mark.parametrize("max_backoff_exp", [0, 3, 5])
+@pytest.mark.parametrize("persistence", [0.05, 0.25, 1.0])
+def test_slot_buckets_match_a_brute_force_channel(persistence, max_backoff_exp):
+    collisions = 0
+    for n_sources in (1, 2, 3, 5, 8, 13, 24, 40, 64):
+        seed = f"{n_sources}/{persistence}/{max_backoff_exp}"
+        expected = drive_channel(ReferenceChannel, n_sources, persistence, max_backoff_exp, seed)
+        assert drive_channel(MultiaccessChannel, n_sources, persistence, max_backoff_exp,
+                             seed) == expected
+        collisions += expected[1]
+    assert collisions > 0
+
+
 class TestStationHop:
     """One FCFS drop-tail hop, timed by the Lindley recursion at entry."""
 
@@ -362,6 +486,17 @@ class TestLoadCurve:
         assert measured == pytest.approx(1.0 / (mu - lam), rel=0.05)
 
 
+def single_source_age(service, rho, seed, duration, mu=1000.0):
+    """Time-average age of Poisson updates at rate rho * mu through one FCFS station."""
+    st = StationConfig(service=service, rate=mu * PACKET_BITS)
+    cfg = SimConfig(stations=(st,), protocol=f"poisson:{rho * mu}", duration=duration,
+                    seed=seed, ack_path="instant")
+    result = run_simulation(cfg)
+    horizon = default_horizon(0.0, duration)
+    rows = [(r, g) for r, _, g in result.delivery_rows(0)]
+    return time_average_age(age_trace_from_deliveries(rows, horizon), horizon)
+
+
 class TestMM1AgeOracle:
     """Single-source FCFS M/M/1 age against its closed form.
 
@@ -374,22 +509,29 @@ class TestMM1AgeOracle:
     closed form at rho = 0.3, 0.53 and 0.8.
     """
 
-    MU = 1000.0
-
-    def run_age(self, rho, seed, duration=400.0):
-        st = StationConfig(service=EXPONENTIAL, rate=self.MU * PACKET_BITS)
-        cfg = SimConfig(stations=(st,), protocol=f"poisson:{rho * self.MU}",
-                        duration=duration, seed=seed, ack_path="instant",
-                        record_trace=False)
-        result = run_simulation(cfg)
-        horizon = default_horizon(0.0, duration)
-        rows = [(r, g) for r, _, g in result.delivery_rows(0)]
-        return time_average_age(age_trace_from_deliveries(rows, horizon), horizon)
-
     @pytest.mark.parametrize("rho, rel_tol", [(0.3, 0.01), (0.53, 0.0075), (0.8, 0.055)])
     def test_average_age_matches_closed_form(self, rho, rel_tol):
-        exact = (1 + 1 / rho + rho**2 / (1 - rho)) / self.MU
-        measured = (self.run_age(rho, seed=1) + self.run_age(rho, seed=2)) / 2
+        exact = (1 + 1 / rho + rho**2 / (1 - rho)) / 1000.0
+        measured = sum(single_source_age(EXPONENTIAL, rho, seed, 400.0) for seed in (1, 2)) / 2
+        assert measured == pytest.approx(exact, rel=rel_tol)
+
+
+class TestMD1AgeOracle:
+    """Single-source FCFS M/D/1 age against its closed form.
+
+    Kaul, Yates and Gruteser (CISS 2012): Poisson updates at rate lambda
+    through one deterministic server of rate mu have time-average age
+    (1/mu)(1/(2(1 - rho)) + 1/2 + (1 - rho)e^rho/rho), rho = lambda/mu.
+    Each case is one 200 s run, about 6 s of CPU for the three values of
+    rho. The tolerance is four standard deviations of one run, taken from
+    the spread of 12 runs (seeds 100-111): 0.41%, 0.23% and 0.75% of the
+    closed form at rho = 0.3, 0.53 and 0.8, with means within 0.25% of it.
+    """
+
+    @pytest.mark.parametrize("rho, rel_tol", [(0.3, 0.017), (0.53, 0.0095), (0.8, 0.03)])
+    def test_average_age_matches_closed_form(self, rho, rel_tol):
+        exact = (1 / (2 * (1 - rho)) + 0.5 + (1 - rho) * math.exp(rho) / rho) / 1000.0
+        measured = single_source_age(DETERMINISTIC, rho, seed=1, duration=200.0)
         assert measured == pytest.approx(exact, rel=rel_tol)
 
 
