@@ -264,8 +264,8 @@ class ReferenceChannel:
         now = self.evq.now
         for i in senders:
             self.target.pop(i, None)
-        end = self.busy_until = now + max(self.queues[i][0][0].bits for i in senders)\
-            / self.cfg.link_rate
+        bits = max(self.queues[i][0][0].bits for i in senders)
+        end = self.busy_until = now + bits / self.cfg.link_rate
         resume, attempt_slot = self.slot_after(end), self.slot_after(now)
         assert all(slot > attempt_slot for slot in self.target.values())
         for i in self.target:
