@@ -185,6 +185,11 @@ class ExperimentSpec:
             multiaccess=None if multiaccess is None else _build(
                 MultiaccessConfig, multiaccess, "[multiaccess]"),
         )
+        for n in self.source_counts:  # checks that depend on the source count
+            try:
+                dataclasses.replace(self.base, n_sources=n)
+            except ValueError as exc:
+                raise SpecError(f"{n} sources: {exc}") from None
 
     def runs(self):
         for n in self.source_counts:
@@ -363,36 +368,39 @@ def cmd_report(run_dir, warmup_frac=DEFAULT_WARMUP_FRAC):
     scatter = []
     for path in monitor_files + ack_files:
         one_way = path in monitor_files
+        mode = "one-way" if one_way else "rtt-based"
         try:
             log_rows = (read_monitor_log if one_way else read_ack_log)(path)
         except (ValueError, KeyError, TypeError, OSError) as exc:  # TypeError: short row
             print(f"{path.name}: unreadable ({exc})", file=sys.stderr)
             errors += 1
             continue
-        if one_way and not log_rows:
-            rows.append((path.stem, "one-way", 0, "", "", "", ""))
-        elif one_way:
-            deliveries = [(r, s, g / 1e9) for r, s, g in log_rows]
-            t0, t1 = deliveries[0][0], deliveries[-1][0]
-            horizon = default_horizon(t0, t1, warmup_frac)
-            stats = summarize(deliveries, horizon, payload_bytes)
-            trace = age_trace_from_deliveries([(r, g) for r, _, g in deliveries], horizon)
-            _export_trace(run_dir / f"age_{path.stem}.csv", trace)
-            rows.append((path.stem, "one-way", stats.delivered_count,
-                         f"{stats.avg_age * 1e3:.3f}", f"{stats.avg_delay * 1e3:.3f}",
-                         f"{stats.throughput:.0f}", f"{stats.loss_fraction:.4f}"))
-            scatter.append((path.stem, stats.avg_delay * 1e3, stats.avg_age * 1e3,
-                            stats.throughput))
-        elif len(log_rows) > 1:
-            samples = [(t, rtt) for t, _, rtt in log_rows]
-            t0, t1 = samples[0][0], samples[-1][0]
-            horizon = default_horizon(t0, t1, warmup_frac)
-            trace = age_trace_from_rtt_samples(samples, horizon)
-            age = time_average_age(trace, horizon)
-            delay = statistics.mean(rtt for _, rtt in samples)
-            _export_trace(run_dir / f"age_{path.stem}.csv", trace)
-            rows.append((path.stem, "rtt-based", len(samples),
-                         f"{age * 1e3:.3f}", f"{delay * 1e3:.3f}", "", ""))
+        if len({row[0] for row in log_rows}) < 2:  # no span of time to average over
+            rows.append((path.stem, mode, len(log_rows), "", "", "", ""))
+            continue
+        horizon = default_horizon(log_rows[0][0], log_rows[-1][0], warmup_frac)
+        try:
+            if one_way:
+                deliveries = [(r, s, g / 1e9) for r, s, g in log_rows]
+                stats = summarize(deliveries, horizon, payload_bytes)
+                trace = age_trace_from_deliveries([(r, g) for r, _, g in deliveries], horizon)
+                row = (stats.delivered_count, stats.avg_age, stats.avg_delay,
+                       f"{stats.throughput:.0f}", f"{stats.loss_fraction:.4f}")
+                scatter.append((path.stem, stats.avg_delay * 1e3, stats.avg_age * 1e3,
+                                stats.throughput))
+            else:
+                samples = [(t, rtt) for t, _, rtt in log_rows]
+                trace = age_trace_from_rtt_samples(samples, horizon)
+                rtts = [rtt for t, rtt in samples if horizon[0] <= t <= horizon[1]]
+                row = (len(rtts), time_average_age(trace, horizon), statistics.mean(rtts), "", "")
+        except ValueError as exc:  # e.g. receive times behind the generation times
+            print(f"{path.name}: unusable ({exc})", file=sys.stderr)
+            errors += 1
+            continue
+        _export_trace(run_dir / f"age_{path.stem}.csv", trace)
+        count, age, delay, throughput, loss = row
+        rows.append((path.stem, mode, count, f"{age * 1e3:.3f}", f"{delay * 1e3:.3f}",
+                     throughput, loss))
     header = ("session", "age_mode", "delivered", "avg_age_ms", "avg_delay_ms",
               "throughput_bps", "loss_fraction")
     widths = [max(len(str(r[i])) for r in [header] + rows) for i in range(len(header))]

@@ -114,7 +114,7 @@ class SourceBase:
         """Consume an ACK; returns updates to transmit in response (if any)."""
         if ack.seq >= self.next_seq:
             self.violations += 1
-            log.warning("ack for never-sent seq %d discarded", ack.seq)
+            log.debug("ack for never-sent seq %d discarded", ack.seq)
             return []
         if self.highest_acked_seq is not None and ack.seq <= self.highest_acked_seq:
             self.discarded_acks += 1
@@ -122,7 +122,7 @@ class SourceBase:
         # every seq above the highest acked one is outstanding, in order
         if ack.gen_ts != self.outstanding[ack.seq - self.outstanding[0][0]][1]:
             self.violations += 1
-            log.warning("ack for seq %d echoes a gen_ts it was not sent with", ack.seq)
+            log.debug("ack for seq %d echoes a gen_ts it was not sent with", ack.seq)
             return []
         gen_seconds = ack.gen_ts / 1e9
         self.estimator.record_ack(now, gen_seconds)

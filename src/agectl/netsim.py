@@ -40,7 +40,7 @@ from .metrics import (
     step_average,
     time_average_age,
 )
-from .wire import ACK_SIZE, DEFAULT_PAYLOAD_BYTES, update_bits
+from .wire import ACK_SIZE, DEFAULT_PAYLOAD_BYTES, UpdatePacket, update_bits
 
 # event priorities at equal timestamps: packets move first, then the
 # contention slot machinery, then epoch closings, then send/guard timers
@@ -112,10 +112,14 @@ class MultiaccessConfig:
     per_source_loss: float = 0.0  # stand-in for channel (shadowing) losses
 
     def __post_init__(self):
+        if self.link_rate <= 0:
+            raise ValueError("link_rate must be positive")
         if not 0 < self.persistence <= 1:
             raise ValueError("persistence must be in (0, 1]")
         if self.slot <= 0:
             raise ValueError("slot must be positive")
+        if self.max_backoff_exp < 0:
+            raise ValueError("max_backoff_exp must be >= 0")
         if not 0 <= self.per_source_loss < 1:
             raise ValueError("per_source_loss must be in [0, 1)")
 
@@ -146,23 +150,13 @@ class SimConfig:
         modes = self.protocol.split(",")
         if len(modes) not in (1, self.n_sources):
             raise ValueError("protocol must be one mode or one per source")
+        ma = self.multiaccess
+        if ma and ma.persistence == 1 and ma.max_backoff_exp == 0 and self.n_sources > 1:
+            raise ValueError("persistence 1 with max_backoff_exp 0: colliders collide for ever")
 
     def mode_for(self, src: int) -> str:
         modes = self.protocol.split(",")
         return modes[0] if len(modes) == 1 else modes[src]
-
-
-class SimPacket:
-    """Network-level envelope around a wire packet."""
-
-    __slots__ = ("src", "seq", "bits", "wire", "is_update")
-
-    def __init__(self, src, seq, bits, wire, is_update):
-        self.src = src
-        self.seq = seq
-        self.bits = bits
-        self.wire = wire
-        self.is_update = is_update
 
 
 class StationQueue:
@@ -222,18 +216,20 @@ class MultiaccessChannel:
     live at a time, for grid slot `next_attempt`; an arrival to a busy
     channel schedules a new one only when it attempts earlier.
 
-    A frame's outcome is settled when it starts: the winner leaves its
+    Every frame carries `frame_bits`, so every frame is on air for the same
+    time. A frame's outcome is settled when it starts: the winner leaves its
     queue, the senders draw their next countdowns and the loss is drawn.
     A delivered frame goes to the sink with its end time, and a lost one
     ends in a drop event at that time. Frames ending after `horizon` are
     left out of the statistics, as the run stops before they end.
     """
 
-    def __init__(self, evq, cfg: MultiaccessConfig, n_sources, seed, sink,
+    def __init__(self, evq, cfg: MultiaccessConfig, n_sources, seed, frame_bits, sink,
                  tracer=None, on_drop=None, horizon=math.inf):
         self.evq = evq
         self.cfg = cfg
-        self.sink = sink  # sink(pkt, end_time) on successful (and not lost) transmission
+        self.frame_time = frame_bits / cfg.link_rate
+        self.sink = sink  # sink(src, pkt, end_time) on successful (and not lost) transmission
         self.tracer = tracer
         self.on_drop = on_drop
         self.horizon = horizon
@@ -259,7 +255,7 @@ class MultiaccessChannel:
         fresh = not q
         q.append((pkt, now))
         if self.tracer:
-            self.tracer(now, ENQUEUED, pkt)
+            self.tracer(now, ENQUEUED, src, pkt)
         if not fresh:
             return  # not head of line yet; it waits when it gets there
         if now >= self.busy_until and not self.slots:
@@ -305,8 +301,7 @@ class MultiaccessChannel:
         cfg = self.cfg
         queues = self.queues
         slots = self.slots
-        bits = max(queues[i][0][0].bits for i in senders)
-        end = self.busy_until = now + bits / cfg.link_rate
+        end = self.busy_until = now + self.frame_time
         resume = self._slot_after(end)
         attempt_slot = self._slot_after(now)
         # stations that lost this round resume their countdown after the frame
@@ -341,54 +336,32 @@ class MultiaccessChannel:
             if queues[src]:
                 self._wait(src, base + self._geom(self.rngs[src]))
             if cfg.per_source_loss and self.loss_rngs[src].random() < cfg.per_source_loss:
-                self.evq.push(end, PRIO_PACKET, self._lose, pkt)
+                self.evq.push(end, PRIO_PACKET, self._lose, src, pkt)
             else:
-                self.sink(pkt, end)
+                self.sink(src, pkt, end)
         if slots:
             self._schedule(slots[0] + self.shift)
         else:
             self.next_attempt = math.inf
 
-    def _lose(self, pkt):
+    def _lose(self, src, pkt):
         self.lost += 1
         if self.on_drop:
-            self.on_drop(pkt)
-
-
-class RunResult:
-    """Everything one simulation produced, in memory."""
-
-    def __init__(self, cfg, trace, sources, monitors, counts, channel, network):
-        self.cfg = cfg
-        self.trace = trace  # (time, source_id, kind, seq)
-        self.sources = sources
-        self.monitors = monitors
-        self.generated, self.delivered, self.dropped = counts
-        self.channel = channel  # MultiaccessChannel or None
-        self._network = network
-
-    def in_flight(self, src):
-        return self.generated[src] - self.delivered[src] - self.dropped[src]
-
-    def resident_census(self):
-        """Per-source update count found in the channel queues and pending events."""
-        return self._network.resident_census()
-
-    def delivery_rows(self, src):
-        """(receive_time, seq, gen_ts_seconds) per delivery at the monitor."""
-        return [(r, seq, g / 1e9) for r, seq, g in self.monitors[src].delivery_log]
-
-    def backlog_average(self, src, horizon):
-        return step_average(self.sources[src].backlog_trace, *horizon)
+            self.on_drop(src, pkt)
 
 
 class _Network:
-    """Wires endpoints, channel and stations together and drives the clock."""
+    """Wires endpoints, channel and stations together and drives the clock.
+
+    `run_simulation` returns the network it ran, so its sources, monitors,
+    channel, hops and per-source counts are the results. Updates and ACKs
+    travel as the endpoints' own packets, with the source index beside them.
+    """
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
         self.evq = EventQueue()
-        self.trace = [] if cfg.record_trace else None
+        self.trace = [] if cfg.record_trace else None  # (time, source_id, kind, seq)
         self.generated = [0] * cfg.n_sources
         self.delivered = [0] * cfg.n_sources
         self.dropped = [0] * cfg.n_sources
@@ -410,8 +383,8 @@ class _Network:
         self.channel = None
         if cfg.multiaccess is not None:
             self.channel = MultiaccessChannel(
-                self.evq, cfg.multiaccess, cfg.n_sources, seed, sink=self._forward,
-                tracer=self._record if cfg.record_trace else None,
+                self.evq, cfg.multiaccess, cfg.n_sources, seed, self.update_bits,
+                sink=self._forward, tracer=self._record if cfg.record_trace else None,
                 on_drop=self._drop_update, horizon=cfg.duration,
             )
 
@@ -427,63 +400,60 @@ class _Network:
 
     # -- trace and accounting hooks
 
-    def _record(self, t, kind, pkt):
+    def _record(self, t, kind, src, pkt):
         if self.trace is not None:
-            self.trace.append((t, pkt.src, kind, pkt.seq))
+            self.trace.append((t, src, kind, pkt.seq))
 
-    def _drop_update(self, pkt):
-        self.dropped[pkt.src] += 1
-        self._record(self.evq.now, DROPPED, pkt)
+    def _drop_update(self, src, pkt):
+        self.dropped[src] += 1
+        self._record(self.evq.now, DROPPED, src, pkt)
 
     # -- packet movement
 
-    def _cross(self, hops, pkt, t):
-        """Carry pkt through hops from time t: (exit time, True) or (drop time, False)."""
-        record = self.trace is not None and pkt.is_update
-        for hop in hops:
-            passed = hop.enter(t, pkt.bits)
+    def _forward(self, src, pkt, t):
+        """Carry an update through the stations from time t to one delivery or drop event."""
+        record = self.trace is not None
+        for hop in self.fwd_hops:
+            passed = hop.enter(t, self.update_bits)
             if passed is None:
-                return t, False
+                self.evq.push(t, PRIO_PACKET, self._drop_update, src, pkt)
+                return
             if record:
-                self._record(t, ENQUEUED, pkt)
-                self._record(passed[0], SERVICE_START, pkt)
+                self._record(t, ENQUEUED, src, pkt)
+                self._record(passed[0], SERVICE_START, src, pkt)
             t = passed[1]
-        return t, True
+        self.evq.push(t, PRIO_PACKET, self._monitor_in, src, pkt)
 
-    def _forward(self, pkt, t):
-        t, through = self._cross(self.fwd_hops, pkt, t)
-        self.evq.push(t, PRIO_PACKET, self._monitor_in if through else self._drop_update, pkt)
-
-    def _send_update(self, src, wire_pkt):
-        pkt = SimPacket(src, wire_pkt.seq, self.update_bits, wire_pkt, True)
+    def _send_update(self, src, pkt):
         self.generated[src] += 1
         now = self.evq.now
-        self._record(now, GENERATED, pkt)
+        self._record(now, GENERATED, src, pkt)
         if self.channel is not None:
             self.channel.accept(src, pkt)
         else:
-            self._forward(pkt, now)
+            self._forward(src, pkt, now)
 
-    def _monitor_in(self, pkt):
+    def _monitor_in(self, src, pkt):
         now = self.evq.now
-        src = pkt.src
         self.delivered[src] += 1
-        self._record(now, DELIVERED, pkt)
-        ack = self.monitors[src].on_update(pkt.wire, now)
+        self._record(now, DELIVERED, src, pkt)
+        ack = self.monitors[src].on_update(pkt, now)
         if ack is None:
             return
-        ack_pkt = SimPacket(src, ack.seq, self.ack_bits, ack, False)
         if self.rev_hops is None:
-            self._source_in(ack_pkt)
+            self._source_in(src, ack)
             return
-        t, through = self._cross(self.rev_hops, ack_pkt, now)
-        if through:
-            self.evq.push(t, PRIO_PACKET, self._source_in, ack_pkt)
+        t = now
+        for hop in self.rev_hops:
+            passed = hop.enter(t, self.ack_bits)
+            if passed is None:
+                return  # the ACK is dropped
+            t = passed[1]
+        self.evq.push(t, PRIO_PACKET, self._source_in, src, ack)
 
-    def _source_in(self, pkt):
-        src = pkt.src
-        for wire_pkt in self.sources[src].on_ack(pkt.wire, self.evq.now):
-            self._send_update(src, wire_pkt)
+    def _source_in(self, src, ack):
+        for pkt in self.sources[src].on_ack(ack, self.evq.now):
+            self._send_update(src, pkt)
         self._reconcile_timers(src)
 
     # -- endpoint timers
@@ -499,32 +469,26 @@ class _Network:
     def _timer_fire(self, src, kind, t):
         if self.timer_marks[src].get(kind) != t:
             return  # superseded schedule
-        for wire_pkt in self.sources[src].fire(kind, self.evq.now):
-            self._send_update(src, wire_pkt)
+        for pkt in self.sources[src].fire(kind, self.evq.now):
+            self._send_update(src, pkt)
         self._reconcile_timers(src)
 
-    # -- run
+    # -- run and results
 
     def run(self):
         for src in range(self.cfg.n_sources):
-            for wire_pkt in self.sources[src].start(0.0):
-                self._send_update(src, wire_pkt)
+            for pkt in self.sources[src].start(0.0):
+                self._send_update(src, pkt)
             self._reconcile_timers(src)
         duration = self.cfg.duration
         self.evq.run_until(duration)
-        trace = []
-        if self.trace is not None:  # hop rows were written ahead of their time
-            trace = sorted((row for row in self.trace if row[0] <= duration),
-                           key=itemgetter(0))
-        return RunResult(
-            self.cfg,
-            trace,
-            self.sources,
-            self.monitors,
-            (self.generated, self.delivered, self.dropped),
-            self.channel,
-            self,
-        )
+        # hop rows were written ahead of their time
+        self.trace = sorted((row for row in self.trace or () if row[0] <= duration),
+                            key=itemgetter(0))
+        return self
+
+    def in_flight(self, src):
+        return self.generated[src] - self.delivered[src] - self.dropped[src]
 
     def resident_census(self):
         """Updates actually sitting in the network, counted per source.
@@ -534,17 +498,21 @@ class _Network:
         """
         counts = [0] * self.cfg.n_sources
         if self.channel is not None:
-            for q in self.channel.queues:
-                for pkt, _ in q:
-                    counts[pkt.src] += 1
+            counts = [len(q) for q in self.channel.queues]
         for _, _, _, _, args in self.evq._heap:
-            for arg in args:
-                if isinstance(arg, SimPacket) and arg.is_update:
-                    counts[arg.src] += 1
+            if isinstance(args[-1], UpdatePacket):  # (src, update) of a packet event
+                counts[args[0]] += 1
         return counts
 
+    def delivery_rows(self, src):
+        """(receive_time, seq, gen_ts_seconds) per delivery at the monitor."""
+        return [(r, seq, g / 1e9) for r, seq, g in self.monitors[src].delivery_log]
 
-def run_simulation(cfg: SimConfig) -> RunResult:
+    def backlog_average(self, src, horizon):
+        return step_average(self.sources[src].backlog_trace, *horizon)
+
+
+def run_simulation(cfg: SimConfig) -> _Network:
     return _Network(cfg).run()
 
 

@@ -8,6 +8,8 @@ This runs `instrument()` around one small simulation, checks that every
 layer it patches was entered, and that `restore()` puts the originals back.
 The stations schedule no events of their own, so the `netsim.station` span
 must stay empty, while `timed_push` still looks up `netsim.StationQueue`.
+`observed_simulation` reads counts from each `run_simulation` result by
+attribute name, so it runs here too.
 """
 
 import sys
@@ -55,6 +57,27 @@ def test_instrument_spans_every_layer_and_restores():
     assert totals.get("netsim.station", (0,))[0] == 0
     assert hasattr(netsim, "StationQueue")
     assert [getattr(owner, name) for owner, name in patched] == originals
+
+
+def test_observed_simulation_reads_the_result_names():
+    # the traced run counts these from every run_simulation result it sees
+    tracer = Tracer()
+    result = bench.observed_simulation(tracer, netsim.run_simulation)(small_config())
+    counts = dict(tracer.counts)
+    assert tracer.totals()["netsim.run_simulation"][0] == 1
+    assert counts["netsim.generated"] == sum(source.next_seq for source in result.sources)
+    # each update delivered or dropped in the run went through a counted frame
+    finished = sum(result.delivered) + counts["netsim.dropped"]
+    assert finished <= counts["netsim.channel.successes"] <= counts["netsim.generated"]
+    assert counts["netsim.channel.lost"] <= counts["netsim.dropped"]
+    assert counts["netsim.channel.collisions"] > 0
+    assert counts == {
+        "netsim.generated": sum(result.generated),
+        "netsim.dropped": sum(result.dropped),
+        "netsim.channel.successes": len(result.channel.access_delays),
+        "netsim.channel.collisions": result.channel.collisions,
+        "netsim.channel.lost": result.channel.lost,
+    }
 
 
 def test_live_workload_names_exist():

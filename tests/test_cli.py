@@ -150,6 +150,15 @@ class TestSpecKeys:
      "protocols: constant mode needs a positive rate, e.g. constant:100, got 'constant:0'"),
     ("sweep_sources = 1,0\n" + TestSpecKeys.MINIMAL, "source counts must be >= 1, got 0"),
     ("sources = -2\n" + TestSpecKeys.MINIMAL, "source counts must be >= 1, got -2"),
+    (TestSpecKeys.MINIMAL.replace("slot = 1e-4", "max_backoff_exp = -1"),
+     "[multiaccess]: max_backoff_exp must be >= 0"),
+    (TestSpecKeys.MINIMAL.replace("slot = 1e-4", "link_rate = 0"),
+     "[multiaccess]: link_rate must be positive"),
+    (TestSpecKeys.MINIMAL.replace("slot = 1e-4", "link_rate = -12e6"),
+     "[multiaccess]: link_rate must be positive"),
+    ("sweep_sources = 1,4\n"
+     + TestSpecKeys.MINIMAL.replace("slot = 1e-4", "persistence = 1\nmax_backoff_exp = 0"),
+     "4 sources: persistence 1 with max_backoff_exp 0: colliders collide for ever"),
 ])
 def test_simulate_reports_a_bad_spec_in_one_line(tmp_path, capsys, text, message):
     spec = tmp_path / "bad.spec"
@@ -326,6 +335,48 @@ def test_report_flags_a_truncated_log_as_unreadable(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "mon.csv: unreadable" in captured.err
     assert "src_acks" in captured.out
+
+
+def report_rows(capsys):
+    """session -> the fields of its row in the report table."""
+    lines = capsys.readouterr().out.splitlines()[1:]
+    return {line.split()[0]: line.split()[1:] for line in lines if not line.startswith("jain")}
+
+
+@pytest.mark.parametrize("write, name, mode, log", [
+    (write_monitor_log, "mon", "one-way", [(0.5, 0, 400_000_000)]),
+    (write_monitor_log, "mon", "one-way", [(0.5, k, 400_000_000 + k) for k in range(4)]),
+    (write_monitor_log, "mon", "one-way", []),
+    (write_ack_log, "src_acks", "rtt-based", [(0.5, 0, 0.04)]),
+    (write_ack_log, "src_acks", "rtt-based", [(0.5, k, 0.04) for k in range(3)]),
+    (write_ack_log, "src_acks", "rtt-based", []),
+])
+def test_report_gives_a_log_without_a_time_span_a_blank_row(tmp_path, capsys, write, name,
+                                                            mode, log):
+    write(tmp_path / f"{name}.csv", log)
+    assert cmd_report(str(tmp_path)) == 0
+    assert report_rows(capsys) == {name: [mode, str(len(log))]}
+
+
+def test_report_flags_receive_times_behind_generation_as_unusable(tmp_path, capsys):
+    # a live monitor started after its source: its clock reads less than gen_ts
+    write_monitor_log(tmp_path / "mon.csv",
+                      [(0.1 * k, k, round((5 + 0.1 * k) * 1e9)) for k in range(20)])
+    write_ack_log(tmp_path / "src_acks.csv", [(0.1 * k + 0.04, k, 0.04) for k in range(5)])
+    assert cmd_report(str(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("mon.csv: unusable (horizon starts before the first update "
+                            "was generated)\n")
+    assert "src_acks" in captured.out and "mon " not in captured.out
+
+
+def test_report_rtt_rows_cover_the_horizon_only(tmp_path, capsys):
+    # ten warm-up ACKs at 0.5 s RTT, then 90 at 0.04 s; the warm-up ends at 1.99 s
+    log = [(1.0 + k * 0.1, k, 0.5 if k < 10 else 0.04) for k in range(100)]
+    write_ack_log(tmp_path / "src_acks.csv", log)
+    assert cmd_report(str(tmp_path)) == 0
+    _, count, _, delay = report_rows(capsys)["src_acks"]
+    assert (count, delay) == ("90", "40.000")
 
 
 def test_rtt_curve_cli(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import logging
 import random
 
 import pytest
@@ -116,6 +117,16 @@ class TestAckHandling:
         assert src.highest_acked_seq is None
         src.on_ack(ack_for(pkts[1]), 3.0)  # the genuine ACK still counts
         assert src.highest_acked_seq == 1 and src.backlog == 1
+
+    def test_forged_acks_are_counted_not_logged_one_by_one(self, caplog):
+        # run_source logs the total at exit; a flood must not flood stderr
+        src, pkts = self.make_source_with_sends(3)
+        with caplog.at_level(logging.WARNING):
+            for k in range(50):
+                src.on_ack(AckPacket(seq=1000 + k, gen_ts=0), 4.0)
+                src.on_ack(AckPacket(seq=2, gen_ts=pkts[2].gen_ts + 1 + k), 4.0)
+        assert caplog.records == []
+        assert src.violations == 100
 
     def test_zero_loss_in_order_every_update_acked_once(self):
         src = ConstantSource(rate=10.0)

@@ -23,7 +23,6 @@ from agectl.netsim import (
     MultiaccessChannel,
     MultiaccessConfig,
     SimConfig,
-    SimPacket,
     StationConfig,
     StationQueue,
     rtt_vs_load_curve,
@@ -31,6 +30,7 @@ from agectl.netsim import (
     simulate_station_system_time,
     sweep_min_age,
 )
+from agectl.wire import UpdatePacket
 
 PACKET_BITS = 8 * (19 + 1024)
 
@@ -164,13 +164,13 @@ def test_countdown_freezes_while_another_frame_is_on_air():
     clock = StubClock()
     delivered = []
     channel = MultiaccessChannel(
-        clock, MultiaccessConfig(link_rate=2.0, slot=1.0, persistence=0.5), 3, 0,
-        sink=lambda pkt, t: delivered.append((t, pkt.src)))
+        clock, MultiaccessConfig(link_rate=2.0, slot=1.0, persistence=0.5), 3, 0, 5,
+        sink=lambda src, pkt, t: delivered.append((t, src)))
     channel.rngs = [GeomDraw(0), GeomDraw(0), GeomDraw(4)]
-    channel.accept(0, SimPacket(0, 0, 5, None, True))  # idle channel: on air at once
+    channel.accept(0, UpdatePacket(0, 0))  # idle channel: on air at once
     clock.now = 0.5
-    channel.accept(1, SimPacket(1, 0, 5, None, True))  # attempts in slot 3 + 0
-    channel.accept(2, SimPacket(2, 0, 5, None, True))  # attempts in slot 3 + 4
+    channel.accept(1, UpdatePacket(0, 0))  # attempts in slot 3 + 0
+    channel.accept(2, UpdatePacket(0, 0))  # attempts in slot 3 + 4
     clock.run()
     # station 1 wins slot 3 and its frame ends at 5.5, so the channel is idle
     # again from slot 6; station 2 still had 7 - 3 = 4 idle slots to count
@@ -196,13 +196,13 @@ def test_frames_ending_after_the_horizon_are_left_out_of_the_statistics():
     # the frame outcome is settled when it starts; the run ends at 5.0
     clock = StubClock()
     channel = MultiaccessChannel(
-        clock, MultiaccessConfig(link_rate=2.0, slot=1.0, persistence=0.5), 2, 0,
-        sink=lambda pkt, t: None, horizon=5.0)
+        clock, MultiaccessConfig(link_rate=2.0, slot=1.0, persistence=0.5), 2, 0, 5,
+        sink=lambda src, pkt, t: None, horizon=5.0)
     channel.rngs = [BackoffDraw(0, 0), BackoffDraw(0, 1)]
-    channel.accept(0, SimPacket(0, 0, 5, None, True))  # on air over [0, 2.5]
-    channel.accept(0, SimPacket(0, 1, 5, None, True))  # attempts in slot 3
+    channel.accept(0, UpdatePacket(0, 0))  # on air over [0, 2.5]
+    channel.accept(0, UpdatePacket(1, 0))  # attempts in slot 3
     clock.now = 0.5
-    channel.accept(1, SimPacket(1, 0, 5, None, True))  # attempts in slot 3 too
+    channel.accept(1, UpdatePacket(0, 0))  # attempts in slot 3 too
     clock.run()
     # the slot-3 collision ends at 5.5 and both retries later still
     assert channel.access_delays == [2.5]
@@ -219,8 +219,9 @@ class ReferenceChannel:
     countdown, and randrange then the countdown after a collision.
     """
 
-    def __init__(self, evq, cfg, n_sources, seed, sink):
+    def __init__(self, evq, cfg, n_sources, seed, frame_bits, sink):
         self.evq, self.cfg, self.sink = evq, cfg, sink
+        self.frame_bits = frame_bits
         self.queues = [[] for _ in range(n_sources)]
         self.attempts = [0] * n_sources
         self.target = {}  # station -> grid slot of its next attempt
@@ -264,8 +265,7 @@ class ReferenceChannel:
         now = self.evq.now
         for i in senders:
             self.target.pop(i, None)
-        bits = max(self.queues[i][0][0].bits for i in senders)
-        end = self.busy_until = now + bits / self.cfg.link_rate
+        end = self.busy_until = now + self.frame_bits / self.cfg.link_rate
         resume, attempt_slot = self.slot_after(end), self.slot_after(now)
         assert all(slot > attempt_slot for slot in self.target.values())
         for i in self.target:
@@ -283,7 +283,7 @@ class ReferenceChannel:
             self.access_delays.append(end - enq_time)
             if self.queues[src]:
                 self.target[src] = resume + self.geom(src)
-            self.sink(pkt, end)
+            self.sink(src, pkt, end)
         self.reschedule()
 
 
@@ -291,16 +291,17 @@ def drive_channel(make, n_sources, persistence, max_backoff_exp, seed):
     """Deliveries (end, src, seq), collisions and access delays under seeded arrivals.
 
     Bursts of 1 to 4 back-to-back arrivals at a random station come about
-    every 0.6 frame times; a quarter of them fall exactly on a slot edge,
-    where an attempt may be due at the same instant. Frames last 0.7 to
-    4.8 slots.
+    every 0.6 mean frame times; a quarter of them fall exactly on a slot
+    edge, where an attempt may be due at the same instant. All frames of a
+    case have one size, drawn per case so that frames last 0.7 to 4.8 slots.
     """
     cfg = MultiaccessConfig(link_rate=12e6, slot=2.5e-4, persistence=persistence,
                             max_backoff_exp=max_backoff_exp)
     evq = EventQueue()
     delivered = []
-    channel = make(evq, cfg, n_sources, seed,
-                   lambda pkt, end: delivered.append((end, pkt.src, pkt.seq)))
+    frame_bits = random.Random(f"{seed}/frame").randint(2_000, 14_400)
+    channel = make(evq, cfg, n_sources, seed, frame_bits,
+                   lambda src, pkt, end: delivered.append((end, src, pkt.seq)))
     arrivals = random.Random(f"{seed}/arrivals")
     seqs = [0] * n_sources
     t = 0.0
@@ -309,9 +310,8 @@ def drive_channel(make, n_sources, persistence, max_backoff_exp, seed):
         at = math.ceil(t / cfg.slot) * cfg.slot if arrivals.random() < 0.25 else t
         src = arrivals.randrange(n_sources)
         for _ in range(arrivals.randint(1, 4)):
-            pkt = SimPacket(src, seqs[src], arrivals.randint(2_000, 14_400), None, True)
+            evq.push(at, PRIO_PACKET, channel.accept, src, UpdatePacket(seqs[src], 0))
             seqs[src] += 1
-            evq.push(at, PRIO_PACKET, channel.accept, src, pkt)
     # colliders at p = 1 with no backoff window collide for ever: stop the clock
     evq.run_until(1.0)
     return delivered, channel.collisions, channel.access_delays
@@ -620,5 +620,14 @@ def test_config_validation():
         StationConfig(service=DETERMINISTIC, rate=1e6, buffer=0)
     with pytest.raises(ValueError):
         MultiaccessConfig(persistence=0.0)
+    with pytest.raises(ValueError, match="max_backoff_exp must be >= 0"):
+        MultiaccessConfig(max_backoff_exp=-1)
+    for rate in (0.0, -12e6):
+        with pytest.raises(ValueError, match="link_rate must be positive"):
+            MultiaccessConfig(link_rate=rate)
+    stuck = MultiaccessConfig(persistence=1.0, max_backoff_exp=0)
+    SimConfig(stations=(st,), multiaccess=stuck)  # a lone source never collides
+    with pytest.raises(ValueError, match="colliders collide for ever"):
+        SimConfig(stations=(st,), n_sources=2, multiaccess=stuck)
     cfg = SimConfig(stations=(st,), n_sources=2, protocol="acp+,lazy")
     assert cfg.mode_for(0) == "acp+" and cfg.mode_for(1) == "lazy"
