@@ -51,7 +51,7 @@ from .netsim import (
     sweep_min_age,
 )
 from .transport import ProxyConfig, run_monitor, run_proxy, run_source
-from .wire import DEFAULT_PAYLOAD_BYTES, update_bits
+from .wire import DEFAULT_PAYLOAD_BYTES, MAX_PAYLOAD, update_bits
 
 # -- spec file parsing
 
@@ -141,6 +141,14 @@ def _as_list(value):
     return value if isinstance(value, list) else [value]
 
 
+def _warmup_frac(value):
+    """value as a float in [0, 1), the leading fraction of a run that summaries leave out."""
+    value = float(value)
+    if not 0 <= value < 1:
+        raise ValueError(f"warmup_frac must be in [0, 1), got {value}")
+    return value
+
+
 # top-level keys that shape the sweep; every other one is a SimConfig field
 RUN_KEYS = ("name", "repetitions", "warmup_frac", "sweep_sources", "sources",
             "protocols", "protocol")
@@ -163,8 +171,11 @@ class ExperimentSpec:
         self.repetitions = _convert(run.get("repetitions", 1), int, "repetitions")
         if self.repetitions < 1:
             raise SpecError("repetitions must be >= 1")
-        self.warmup_frac = _convert(run.get("warmup_frac", DEFAULT_WARMUP_FRAC), float,
-                                    "warmup_frac")
+        try:
+            self.warmup_frac = _warmup_frac(_convert(run.get("warmup_frac", DEFAULT_WARMUP_FRAC),
+                                                     float, "warmup_frac"))
+        except ValueError as exc:
+            raise SpecError(exc) from None
         counts = _as_list(run.get("sweep_sources", run.get("sources", SimConfig.n_sources)))
         self.source_counts = [_convert(v, int, "sweep_sources") for v in counts]
         if len(set(self.source_counts)) != len(self.source_counts):
@@ -430,8 +441,14 @@ def cmd_sweep_min_age(args):
     mu = args.station_rate_bits / update_bits(args.payload_bytes)
     rates = args.rates or [round(f * mu, 3) for f in
                            (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)]
-    result = sweep_min_age(args.station_rate_bits, rates, args.duration,
-                           seed=args.seed, payload_bytes=args.payload_bytes)
+    try:
+        for rate in rates:  # each is a poisson source's rate; check them all before running
+            parse_mode(f"poisson:{rate}")
+        result = sweep_min_age(args.station_rate_bits, rates, args.duration,
+                               seed=args.seed, payload_bytes=args.payload_bytes)
+    except ValueError as exc:
+        print(f"sweep-min-age: {exc}", file=sys.stderr)
+        return 2
     rows = [(p.rate, f"{p.avg_age:.6f}", f"{p.avg_backlog:.4f}") for p in result.curve]
     if args.out:
         write_rows(args.out, ("rate", "avg_age", "avg_backlog"), rows)
@@ -443,11 +460,11 @@ def cmd_sweep_min_age(args):
 
 
 def cmd_rtt_curve(args):
-    station = StationConfig(service=args.service, rate=args.rate_bits, buffer=args.buffer)
     bits = update_bits(args.payload_bytes)
     mu = args.rate_bits / bits
     loads = args.loads or [round(f * mu, 3) for f in (0.1, 0.3, 0.5, 0.7, 0.9, 1.1)]
     try:
+        station = StationConfig(service=args.service, rate=args.rate_bits, buffer=args.buffer)
         curve = rtt_vs_load_curve(station, args.rtt_base, loads, mode=args.mode,
                                   packet_bits=bits, packets=args.packets, seed=args.seed)
     except ValueError as exc:
@@ -461,11 +478,18 @@ def cmd_rtt_curve(args):
     return 0
 
 
-def _mode_arg(text):
-    try:
-        parse_mode(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _arg_type(convert):
+    """An argparse type that reports the ValueError of convert(text) as a usage error."""
+    def parse(text):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
+def _mode(text):
+    parse_mode(text)
     return text
 
 
@@ -481,7 +505,7 @@ def build_parser():
 
     p = sub.add_parser("source", help="run a live update source")
     p.add_argument("--peer", required=True)
-    p.add_argument("--mode", type=_mode_arg, default="acp+")
+    p.add_argument("--mode", type=_arg_type(_mode), default="acp+")
     p.add_argument("--duration", type=float, required=True)
     p.add_argument("--payload-bytes", type=int, default=DEFAULT_PAYLOAD_BYTES)
     p.add_argument("--listen", default=None)
@@ -524,7 +548,7 @@ def build_parser():
 
     p = sub.add_parser("report", help="summarize a run directory")
     p.add_argument("run_dir")
-    p.add_argument("--warmup-frac", type=float, default=DEFAULT_WARMUP_FRAC)
+    p.add_argument("--warmup-frac", type=_arg_type(_warmup_frac), default=DEFAULT_WARMUP_FRAC)
     return parser
 
 
@@ -533,14 +557,22 @@ def main(argv=None):
     if args.command == "simulate":
         return cmd_simulate(args.spec, args.out, jobs=args.jobs)
     if args.command == "source":
+        if not 0 <= args.payload_bytes <= MAX_PAYLOAD:
+            print(f"source: payload_bytes must be in [0, {MAX_PAYLOAD}], got {args.payload_bytes}",
+                  file=sys.stderr)
+            return 2
         return run_source(args.peer, args.mode, args.duration, args.out,
                           payload_bytes=args.payload_bytes, listen=args.listen)
     if args.command == "monitor":
         return run_monitor(args.listen, args.duration, args.out)
     if args.command == "proxy":
-        cfg = ProxyConfig(listen=args.listen, forward=args.forward,
-                          delay=args.delay_ms / 1e3, delay_dist=args.delay_dist,
-                          loss=args.loss, reorder=args.reorder, seed=args.seed)
+        try:
+            cfg = ProxyConfig(listen=args.listen, forward=args.forward,
+                              delay=args.delay_ms / 1e3, delay_dist=args.delay_dist,
+                              loss=args.loss, reorder=args.reorder, seed=args.seed)
+        except ValueError as exc:
+            print(f"proxy: {exc}", file=sys.stderr)
+            return 2
         return run_proxy(cfg, duration=args.duration)
     if args.command == "sweep-min-age":
         return cmd_sweep_min_age(args)

@@ -1,11 +1,15 @@
 """Protocol actors: update sources and the acknowledging monitor.
 
 Each endpoint is a single logical event loop consuming time-ordered events
-(timer fired, packet in). The caller owns scheduling: it asks `timers()`
-for pending deadlines, calls `fire(kind, now)` when one expires, and
-`on_ack(...)` when a datagram arrives. Both calls return the updates to
-transmit, so the same state machines run unchanged under the discrete
-event simulator and over real sockets.
+(timer due, packet in). The caller owns scheduling. A source has one
+deadline, `deadline()` (`math.inf` when nothing is scheduled); the caller
+calls `fire(now)` once the clock reaches it, and `on_ack(ack, now)` when a
+datagram arrives. `fire(now)` handles everything due at or before `now`,
+earliest first and an epoch close before a send at the same time; before
+the deadline it returns `[]` and changes nothing, and after it the deadline
+is past `now`. Both calls return the updates to transmit, so the same state
+machines run unchanged under the discrete event simulator and over real
+sockets. An ACK may move the deadline either way.
 
 Backlog is the set of updates sent but not yet acknowledged or superseded.
 An in-sequence ACK for seq n clears everything up to n: the monitor
@@ -31,11 +35,6 @@ from .estimation import DEFAULT_SMOOTHING, EpochWindow, NetworkEstimator, NoSamp
 from .wire import DEFAULT_PAYLOAD_BYTES, AckPacket, UpdatePacket
 
 log = logging.getLogger(__name__)
-
-# timer kinds handed back by timers()
-SEND = "send"
-EPOCH = "epoch"
-FALLBACK = "fallback"
 
 MODE_ACP_PLUS = "acp+"
 MODE_LAZY = "lazy"
@@ -79,19 +78,29 @@ class SourceBase:
         self.violations = 0
         self.discarded_acks = 0
         self.first_send_time = None
+        self.next_send_time = math.inf
 
     @property
     def backlog(self) -> int:
         return len(self.outstanding)
 
     def start(self, now: float) -> list:
-        raise NotImplementedError
+        self.next_send_time = now
+        return self.fire(now)
 
-    def timers(self) -> list:
-        """Pending (kind, deadline) pairs the driver must schedule."""
-        raise NotImplementedError
+    def deadline(self) -> float:
+        """When fire() next has work to do; math.inf for never."""
+        return self.next_send_time
 
-    def fire(self, kind: str, now: float) -> list:
+    def fire(self, now: float) -> list:
+        """Send one update if the send deadline has passed, then schedule the next."""
+        if now < self.next_send_time:
+            return []
+        pkt = self._emit(now)
+        self.next_send_time = now + self._gap()
+        return [pkt]
+
+    def _gap(self) -> float:
         raise NotImplementedError
 
     def _emit(self, now: float) -> UpdatePacket:
@@ -104,11 +113,8 @@ class SourceBase:
         if self.first_send_time is None:
             self.first_send_time = now
         self.outstanding.append((pkt.seq, pkt.gen_ts))
-        self._backlog_changed(now)
-        return pkt
-
-    def _backlog_changed(self, now: float) -> None:
         self.backlog_trace.append((now, len(self.outstanding)))
+        return pkt
 
     def on_ack(self, ack: AckPacket, now: float) -> list:
         """Consume an ACK; returns updates to transmit in response (if any)."""
@@ -131,7 +137,7 @@ class SourceBase:
         while self.outstanding and self.outstanding[0][0] <= ack.seq:
             self.outstanding.popleft()
         self.highest_acked_seq = ack.seq
-        self._backlog_changed(now)
+        self.backlog_trace.append((now, len(self.outstanding)))
         return self._after_ack(now, rtt)
 
     def _after_ack(self, now: float, rtt: float) -> list:
@@ -151,20 +157,9 @@ class ConstantSource(SourceBase):
             raise ValueError(f"rate must be positive, got {rate}")
         self.rate = rate
         self.rng = rng
-        self.next_send_time = None
 
-    def start(self, now: float) -> list:
-        return self.fire(SEND, now)
-
-    def timers(self):
-        return [(SEND, self.next_send_time)] if self.next_send_time is not None else []
-
-    def fire(self, kind, now):
-        assert kind == SEND
-        pkt = self._emit(now)
-        gap = self.rng.expovariate(self.rate) if self.rng else 1.0 / self.rate
-        self.next_send_time = now + gap
-        return [pkt]
+    def _gap(self):
+        return self.rng.expovariate(self.rate) if self.rng else 1.0 / self.rate
 
 
 class LazySource(SourceBase):
@@ -176,31 +171,16 @@ class LazySource(SourceBase):
     flight.
     """
 
-    def __init__(self, **kw):
-        super().__init__(**kw)
-        self.fallback_time = None
-
-    def _guard_delay(self) -> float:
+    def _gap(self):
+        """The guard delay: one smoothed RTT, or INITIAL_TIMEOUT before any."""
         rtt = self.estimator.rtt_bar
         return rtt if rtt is not None else INITIAL_TIMEOUT
-
-    def start(self, now: float) -> list:
-        return self.fire(FALLBACK, now)
-
-    def timers(self):
-        return [(FALLBACK, self.fallback_time)] if self.fallback_time is not None else []
-
-    def fire(self, kind, now):
-        assert kind == FALLBACK
-        pkt = self._emit(now)
-        self.fallback_time = now + self._guard_delay()
-        return [pkt]
 
     def _after_ack(self, now, rtt):
         out = []
         if not self.outstanding:
             out.append(self._emit(now))
-        self.fallback_time = now + self._guard_delay()
+        self.next_send_time = now + self._gap()
         return out
 
 
@@ -222,44 +202,36 @@ class AcpPlusSource(SourceBase):
         self.in_bootstrap = True
         self.controller_state = None
         self.epoch_window = None
-        self.next_send_time = None
-        self.next_epoch_time = None
+        self.next_epoch_time = math.inf
 
     def start(self, now: float) -> list:
         self._open_epochs(now, anchor_time=now)
         return [self._emit(now)]
 
     def _open_epochs(self, now, anchor_time):
-        """Restart control at the current rate, with the first epoch starting now."""
+        """Restart control at the current rate, with the first epoch starting now.
+
+        This happens at start() and at the first ACK, so the first window
+        reads both logs from their first row, that ACK included.
+        """
         self.controller_state = ControllerState(rate=self.rate)
-        self.epoch_window = EpochWindow(
-            epoch_start=now, anchor_time=anchor_time, anchor_age=0.0,
-            backlog_at_start=len(self.outstanding),
-        )
+        self.epoch_window = EpochWindow(self.ack_log, self.backlog_trace, now, anchor_time, 0.0)
         self.next_send_time = now + 1.0 / self.rate
         self.next_epoch_time = now + epoch_length(self.rate)
 
-    def timers(self):
+    def deadline(self):
+        return min(self.next_send_time, self.next_epoch_time)
+
+    def fire(self, now):
         out = []
-        if self.next_send_time is not None:
-            out.append((SEND, self.next_send_time))
-        if self.next_epoch_time is not None:
-            out.append((EPOCH, self.next_epoch_time))
-        return out
-
-    def _backlog_changed(self, now):
-        super()._backlog_changed(now)
-        if self.epoch_window is not None:
-            self.epoch_window.set_backlog(now, len(self.outstanding))
-
-    def fire(self, kind, now):
-        if kind == SEND:
-            pkt = self._emit(now)
-            self.next_send_time = now + 1.0 / self.rate
-            return [pkt]
-        assert kind == EPOCH
-        self._close_epoch(now)
-        return []
+        while True:
+            if self.next_epoch_time <= min(now, self.next_send_time):
+                self._close_epoch(now)
+            elif self.next_send_time <= now:
+                out.append(self._emit(now))
+                self.next_send_time = now + 1.0 / self.rate
+            else:
+                return out
 
     def _after_ack(self, now, rtt):
         if self.in_bootstrap:
@@ -268,7 +240,6 @@ class AcpPlusSource(SourceBase):
             self.in_bootstrap = False
             self.rate = 1.0 / self.estimator.rtt_bar
             self._open_epochs(now, anchor_time=self.first_send_time)
-        self.epoch_window.add_ack(now, rtt)
         return []
 
     def _close_epoch(self, now):

@@ -3,7 +3,7 @@
 Two smoothed quantities are kept per session: the round-trip time of
 acknowledged updates and the gap between consecutive ACK arrivals (a proxy
 for the inter-delivery time at the monitor). Per control epoch, a window
-accumulator turns the raw ACK/backlog events into the time-average age and
+on the source's ACK and backlog logs gives the time-average age and
 time-average backlog over that epoch.
 """
 
@@ -52,8 +52,12 @@ class NetworkEstimator:
 
     @property
     def ready(self) -> bool:
-        """True once both estimates carry at least one sample."""
-        return self.rtt_bar is not None and self.z_bar is not None
+        """True once both estimates are positive, so a rate can be derived from them.
+
+        The gap estimate stays 0 while every ACK so far came at one instant,
+        as ACKs drained in one pass of the live loop do.
+        """
+        return bool(self.rtt_bar) and bool(self.z_bar)
 
     def record_ack(self, ack_time: float, gen_ts: float) -> None:
         """Fold one in-sequence ACK into the estimates.
@@ -72,54 +76,45 @@ class NetworkEstimator:
 
 @dataclass
 class EpochWindow:
-    """Event accumulator for one control epoch.
+    """One control epoch, read from the source's own logs.
 
-    The instantaneous age estimate resets to the ACK's round-trip sample at
-    each ACK arrival and grows at slope one in between. `anchor_time` /
-    `anchor_age` pin the trajectory carried in from before this window
-    (at session start: zero age at the first send).
+    The epoch's ACKs are `ack_log[first_ack:]`, (ack_time, seq, rtt) rows.
+    Its backlog steps are `backlog_trace[first_step:]`, (time, backlog) rows
+    from one at or before `epoch_start` on; the backlog is 0 before the
+    first row. The instantaneous age estimate resets to the ACK's
+    round-trip sample at each ACK arrival and grows at slope one in
+    between. `anchor_time` / `anchor_age` pin the trajectory carried in
+    from before this window (at session start: zero age at the first send).
     """
 
+    ack_log: list = field(repr=False)
+    backlog_trace: list = field(repr=False)
     epoch_start: float
     anchor_time: float
     anchor_age: float
-    backlog_at_start: int = 0
-    ack_events: list = field(default_factory=list)  # (ack_time, rtt_sample)
-    backlog_steps: list = field(default_factory=list)  # (time, backlog)
-
-    def __post_init__(self):
-        if not self.backlog_steps:
-            self.backlog_steps.append((self.epoch_start, self.backlog_at_start))
-
-    def add_ack(self, ack_time: float, rtt_sample: float) -> None:
-        self.ack_events.append((ack_time, rtt_sample))
-
-    def set_backlog(self, time: float, backlog: int) -> None:
-        if backlog < 0:
-            raise ValueError(f"negative backlog {backlog}")
-        self.backlog_steps.append((time, backlog))
+    first_ack: int = 0
+    first_step: int = 0
 
     def age_average(self, epoch_end: float) -> float:
         """Time-average of the age sawtooth over [epoch_start, epoch_end]."""
-        if not self.ack_events:
+        acks = self.ack_log
+        if len(acks) <= self.first_ack:
             raise NoSamples("no ACKs in this epoch")
         start_age = self.anchor_age + (self.epoch_start - self.anchor_time)
-        trace = AgeTrace(((self.epoch_start, start_age), *self.ack_events))
+        resets = ((t, rtt) for t, _, rtt in acks[self.first_ack:])
+        trace = AgeTrace(((self.epoch_start, start_age), *resets))
         return time_average_age(trace, (self.epoch_start, epoch_end))
 
     def backlog_average(self, epoch_end: float) -> float:
         """Time-weighted mean of the backlog step function over the epoch."""
-        return step_average(self.backlog_steps, self.epoch_start, epoch_end)
+        return step_average(self.backlog_trace[self.first_step:], self.epoch_start, epoch_end)
 
     def roll(self, epoch_end: float) -> "EpochWindow":
-        """Open the next window, carrying the sawtooth anchor and backlog level."""
-        if self.ack_events:
-            anchor_time, anchor_age = self.ack_events[-1]
+        """Open the next window at epoch_end, carrying the sawtooth anchor."""
+        acks = self.ack_log
+        if len(acks) > self.first_ack:
+            anchor_time, _, anchor_age = acks[-1]
         else:
             anchor_time, anchor_age = self.anchor_time, self.anchor_age
-        return EpochWindow(
-            epoch_start=epoch_end,
-            anchor_time=anchor_time,
-            anchor_age=anchor_age,
-            backlog_at_start=self.backlog_steps[-1][1],
-        )
+        return EpochWindow(acks, self.backlog_trace, epoch_end, anchor_time, anchor_age,
+                           first_ack=len(acks), first_step=max(len(self.backlog_trace) - 1, 0))

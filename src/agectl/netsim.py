@@ -31,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .endpoints import EPOCH, Monitor, make_source
+from .endpoints import Monitor, make_source
 from .estimation import DEFAULT_SMOOTHING
 from .metrics import (
     DEFAULT_WARMUP_FRAC,
@@ -43,11 +43,10 @@ from .metrics import (
 from .wire import ACK_SIZE, DEFAULT_PAYLOAD_BYTES, UpdatePacket, update_bits
 
 # event priorities at equal timestamps: packets move first, then the
-# contention slot machinery, then epoch closings, then send/guard timers
+# contention slot machinery, then the source timers
 PRIO_PACKET = 0
 PRIO_SLOT = 1
-PRIO_EPOCH = 2
-PRIO_TIMER = 3
+PRIO_TIMER = 2
 
 DETERMINISTIC = "deterministic"
 EXPONENTIAL = "exponential"
@@ -374,7 +373,7 @@ class _Network:
             for i in range(cfg.n_sources)
         ]
         self.monitors = [Monitor() for _ in range(cfg.n_sources)]
-        self.timer_marks = [{} for _ in range(cfg.n_sources)]
+        self.timer_at = [math.inf] * cfg.n_sources  # time of each source's live timer event
 
         seed = cfg.seed
         # forward: multiaccess -> stations -> monitor
@@ -454,24 +453,28 @@ class _Network:
     def _source_in(self, src, ack):
         for pkt in self.sources[src].on_ack(ack, self.evq.now):
             self._send_update(src, pkt)
-        self._reconcile_timers(src)
+        self._arm(src)
 
-    # -- endpoint timers
+    # -- endpoint timers: one live event per source
 
-    def _reconcile_timers(self, src):
-        marks = self.timer_marks[src]
-        for kind, t in self.sources[src].timers():
-            if marks.get(kind) != t:
-                marks[kind] = t
-                prio = PRIO_EPOCH if kind == EPOCH else PRIO_TIMER
-                self.evq.push(t, prio, self._timer_fire, src, kind, t)
+    def _arm(self, src):
+        """Push a timer event if the source's deadline moved before its live one.
 
-    def _timer_fire(self, src, kind, t):
-        if self.timer_marks[src].get(kind) != t:
-            return  # superseded schedule
-        for pkt in self.sources[src].fire(kind, self.evq.now):
+        A deadline that moved later is left to the live event, which finds
+        nothing due and re-arms when it fires.
+        """
+        t = self.sources[src].deadline()
+        if t < self.timer_at[src]:
+            self.timer_at[src] = t
+            self.evq.push(t, PRIO_TIMER, self._timer_fire, src, t)
+
+    def _timer_fire(self, src, t):
+        if t != self.timer_at[src]:
+            return  # superseded by an earlier deadline
+        self.timer_at[src] = math.inf
+        for pkt in self.sources[src].fire(t):
             self._send_update(src, pkt)
-        self._reconcile_timers(src)
+        self._arm(src)
 
     # -- run and results
 
@@ -479,7 +482,7 @@ class _Network:
         for src in range(self.cfg.n_sources):
             for pkt in self.sources[src].start(0.0):
                 self._send_update(src, pkt)
-            self._reconcile_timers(src)
+            self._arm(src)
         duration = self.cfg.duration
         self.evq.run_until(duration)
         # hop rows were written ahead of their time

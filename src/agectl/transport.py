@@ -99,9 +99,8 @@ def run_source(peer, mode, duration, out, payload_bytes=DEFAULT_PAYLOAD_BYTES,
                     now = time.monotonic() - t0
                     if now >= duration or (stop is not None and stop.is_set()):
                         break
-                    deadlines = [t for _, t in source.timers()]
-                    timeout = min(deadlines) - now if deadlines else _POLL
-                    readable = _wait_readable([sock], min(timeout, duration - now))
+                    timeout = min(source.deadline(), duration) - now
+                    readable = _wait_readable([sock], timeout)
                     now = time.monotonic() - t0
                     for _, data, _ in _drain(readable):
                         try:
@@ -111,13 +110,7 @@ def run_source(peer, mode, duration, out, payload_bytes=DEFAULT_PAYLOAD_BYTES,
                             log.debug("undecodable ack datagram: %s", exc)
                             continue
                         send_all(source.on_ack(ack, now))
-                    while True:
-                        now = time.monotonic() - t0
-                        due = [(t, kind) for kind, t in source.timers() if t <= now]
-                        if not due:
-                            break
-                        _, kind = min(due)
-                        send_all(source.fire(kind, now))
+                    send_all(source.fire(time.monotonic() - t0))
             except OutOfRange as exc:  # the wire's seq space is used up
                 log.warning("session ended early: %s", exc)
         write_epoch_log(out, source.epoch_rows)

@@ -159,6 +159,9 @@ class TestSpecKeys:
     ("sweep_sources = 1,4\n"
      + TestSpecKeys.MINIMAL.replace("slot = 1e-4", "persistence = 1\nmax_backoff_exp = 0"),
      "4 sources: persistence 1 with max_backoff_exp 0: colliders collide for ever"),
+    ("warmup_frac = 1.5\n" + TestSpecKeys.MINIMAL, "warmup_frac must be in [0, 1), got 1.5"),
+    ("warmup_frac = -0.5\n" + TestSpecKeys.MINIMAL, "warmup_frac must be in [0, 1), got -0.5"),
+    ("warmup_frac = 1\n" + TestSpecKeys.MINIMAL, "warmup_frac must be in [0, 1), got 1.0"),
 ])
 def test_simulate_reports_a_bad_spec_in_one_line(tmp_path, capsys, text, message):
     spec = tmp_path / "bad.spec"
@@ -432,3 +435,36 @@ def test_rtt_curve_with_nothing_delivered_after_the_warm_up_exits_2(capsys):
     err = capsys.readouterr().err
     assert err == "rtt-curve: none of the 9 arrivals after the warm-up was delivered\n"
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("frac", ["1.5", "-0.5", "1", "nan"])
+def test_report_warmup_frac_outside_zero_to_one_is_a_usage_error(frac, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", str(tmp_path), "--warmup-frac", frac])
+    assert exc.value.code == 2
+    assert "--warmup-frac: warmup_frac must be in [0, 1)" in capsys.readouterr().err
+    assert build_parser().parse_args(["report", ".", "--warmup-frac", "0"]).warmup_frac == 0.0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["proxy", "--loss", "1.5"], "proxy: loss probability must be in [0, 1)"),
+    (["proxy", "--delay-ms", "-5"], "proxy: delays must be non-negative"),
+    (["rtt-curve", "--buffer", "0"], "rtt-curve: finite buffer must hold at least one packet"),
+    (["sweep-min-age", "--rates", "0"],
+     "sweep-min-age: poisson mode needs a positive rate, e.g. poisson:100, got 'poisson:0.0'"),
+    (["sweep-min-age", "--rates", "100", "-3"],
+     "sweep-min-age: poisson mode needs a positive rate, e.g. poisson:100, got 'poisson:-3.0'"),
+    (["source", "--payload-bytes", "-1"], "source: payload_bytes must be in [0, 65488], got -1"),
+    (["source", "--payload-bytes", "70000"],
+     "source: payload_bytes must be in [0, 65488], got 70000"),
+])
+def test_out_of_range_numbers_are_one_line_errors_that_write_nothing(argv, message, tmp_path,
+                                                                     capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    extra = {
+        "proxy": ["--listen", "127.0.0.1:0", "--forward", "127.0.0.1:1", "--duration", "0"],
+        "source": ["--peer", "127.0.0.1:1", "--duration", "0.2", "--out", "src.csv"],
+    }.get(argv[0], ["--out", "out.csv"])
+    assert main(argv + extra) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert list(tmp_path.iterdir()) == []

@@ -1,13 +1,14 @@
 import logging
+import math
 import random
+from collections import deque
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from agectl.controller import epoch_length, update_lambda
 from agectl.endpoints import (
-    EPOCH,
-    FALLBACK,
-    SEND,
     AcpPlusSource,
     ConstantSource,
     LazySource,
@@ -65,15 +66,15 @@ class TestConstantSource:
     def test_tick_interval_is_reciprocal_rate(self):
         src = ConstantSource(rate=100.0)
         src.start(0.0)
-        assert src.timers() == [(SEND, pytest.approx(0.01))]
-        src.fire(SEND, 0.01)
-        assert src.timers() == [(SEND, pytest.approx(0.02))]
+        assert src.deadline() == pytest.approx(0.01)
+        assert len(src.fire(src.deadline())) == 1
+        assert src.deadline() == pytest.approx(0.02)
 
     def test_unacked_sends_accumulate(self):
         src = ConstantSource(rate=1.0)
         src.start(0.0)
         for i in range(1, 5):
-            src.fire(SEND, float(i))
+            src.fire(float(i))
         assert src.backlog == 5
 
 
@@ -82,7 +83,8 @@ class TestAckHandling:
         src = ConstantSource(rate=1.0)
         pkts = src.start(0.0)
         for i in range(1, n):
-            pkts += src.fire(SEND, float(i))
+            pkts += src.fire(float(i))
+        assert len(pkts) == n
         return src, pkts
 
     def test_stale_ack_discarded(self):
@@ -132,7 +134,8 @@ class TestAckHandling:
         src = ConstantSource(rate=10.0)
         pkts = src.start(0.0)
         for i in range(1, 50):
-            pkts += src.fire(SEND, i * 0.1)
+            assert src.deadline() == pytest.approx(i * 0.1)
+            pkts += src.fire(src.deadline())
         for i, pkt in enumerate(pkts):
             src.on_ack(ack_for(pkt), i * 0.1 + 0.05)
         assert len(src.ack_log) == 50
@@ -152,7 +155,7 @@ class TestLazySource:
         src = LazySource()
         pkts = src.start(0.0)
         assert len(pkts) == 1 and pkts[0].seq == 0
-        assert src.timers() == [(FALLBACK, pytest.approx(1.0))]
+        assert src.deadline() == pytest.approx(1.0)
 
     def test_ack_clocked_send_keeps_backlog_one(self):
         src = LazySource()
@@ -166,9 +169,7 @@ class TestLazySource:
             assert src.backlog == 1
             (pkt,) = out
         # guard timer re-arms one smoothed rtt after the last activity
-        (kind, t) = src.timers()[0]
-        assert kind == FALLBACK
-        assert t == pytest.approx(now + src.estimator.rtt_bar)
+        assert src.deadline() == pytest.approx(now + src.estimator.rtt_bar)
 
     def test_fallback_fires_replacement_after_loss(self):
         src = LazySource()
@@ -176,10 +177,9 @@ class TestLazySource:
         (p1,) = src.on_ack(ack_for(p0), 0.05)  # ack-clocked send; rtt_bar = 0.05
         # p1's ack never arrives; the guard fires one replacement one
         # smoothed rtt after the send
-        kind, t = src.timers()[0]
-        assert kind == FALLBACK
+        t = src.deadline()
         assert t == pytest.approx(0.05 + 0.05)
-        out = src.fire(FALLBACK, t)
+        out = src.fire(t)
         assert len(out) == 1
         assert src.backlog == 2  # the lost update stays outstanding until superseded
 
@@ -187,7 +187,7 @@ class TestLazySource:
         src = LazySource()
         (p0,) = src.start(0.0)
         (p1,) = src.on_ack(ack_for(p0), 0.05)
-        (p2,) = src.fire(FALLBACK, src.timers()[0][1])  # spurious guard: two in flight
+        (p2,) = src.fire(src.deadline())  # spurious guard: two in flight
         # ack for p1 leaves p2 outstanding: healing, no new send yet
         assert src.on_ack(ack_for(p1), 0.21) == []
         (p3,) = src.on_ack(ack_for(p2), 0.25)
@@ -209,7 +209,8 @@ class TestAcpPlusSource:
 
     def test_epoch_length_rescales_with_rate(self):
         src = self.drive_to_first_ack(rtt=0.1)
-        assert src.timers()[1] == (EPOCH, pytest.approx(1.1))
+        assert src.deadline() == pytest.approx(0.2)  # the next send comes first
+        assert src.next_epoch_time == pytest.approx(1.1)
         # after a rate change the epoch horizon is 10 / new rate
         src._close_epoch(1.1)
         assert src.next_epoch_time == pytest.approx(1.1 + 10.0 / src.rate)
@@ -217,10 +218,11 @@ class TestAcpPlusSource:
     def test_identical_epochs_zero_signs_give_dec(self):
         src = self.drive_to_first_ack(rtt=0.1)
         now = 0.1
-        # two epochs with the same traffic pattern: send + ack each 0.1 s
+        # two epochs with the same traffic pattern: send + ack each 0.1 s,
+        # the first send at the epoch start, off the source's send timer
         for epoch in range(2):
             for _ in range(10):
-                (pkt,) = src.fire(SEND, now)
+                pkt = src._emit(now)
                 src.on_ack(ack_for(pkt), now + 0.1)
                 now += 0.1
             src._close_epoch(src.next_epoch_time)
@@ -232,45 +234,57 @@ class TestAcpPlusSource:
     def test_stalled_epochs_hold_rate(self):
         src = AcpPlusSource()
         src.start(0.0)
-        for boundary in (10.0, 20.0, 30.0):
-            src.fire(EPOCH, boundary)
+        while len(src.epoch_rows) < 3:
+            src.fire(src.deadline())
         assert src.rate == 1.0
         assert [row[3] for row in src.epoch_rows] == ["hold", "hold", "hold"]
+        assert [row[1] for row in src.epoch_rows] == [10.0, 20.0, 30.0]
+        assert src.next_seq == 31  # a send each second, after the epoch close on a tie
 
     def test_stalled_epoch_after_control_starts_reuses_averages(self):
         src = self.drive_to_first_ack(rtt=0.1)
         now = 0.1
         for _ in range(2):  # init, then one controlled epoch
             for _ in range(10):
-                (pkt,) = src.fire(SEND, now)
+                pkt = src._emit(now)  # off the send timer, as in the test above
                 src.on_ack(ack_for(pkt), now + 0.1)
                 now += 0.1
-            src.fire(EPOCH, src.next_epoch_time)
+            src._close_epoch(src.next_epoch_time)
         assert [row[3] for row in src.epoch_rows] == ["init", "dec"]
         # no ACK in the next two epochs: b_k = delta_k = 0, and control still acts
         for _ in range(2):
             prev = src.rate
-            src.fire(SEND, src.next_epoch_time - 0.01)
-            src.fire(EPOCH, src.next_epoch_time)
+            src._emit(src.next_epoch_time - 0.01)
+            src._close_epoch(src.next_epoch_time)
             _, _, rate, action, b_star, b_k, delta_k, flag, gamma = src.epoch_rows[-1]
             assert (action, b_star, b_k, delta_k) == ("dec", -1.0, 0.0, 0.0)
             est = src.estimator
             assert rate == src.rate == update_lambda(prev, est.z_bar, est.rtt_bar, -1.0)
             assert src.rate == pytest.approx(0.75 * prev)  # 1/z_bar - 1/rtt_bar is clamped
 
+    def test_acks_at_one_instant_hold_control_until_a_gap(self):
+        # two ACKs drained in one pass leave z_bar = 0, and 1/z_bar has no value
+        src = AcpPlusSource()
+        (p0,) = src.start(0.0)
+        (p1,) = src.fire(1.0)
+        src.on_ack(ack_for(p0), 1.5)
+        src.on_ack(ack_for(p1), 1.5)
+        assert src.estimator.z_bar == 0.0
+        while len(src.epoch_rows) < 3:
+            src.fire(src.deadline())
+        assert [row[3] for row in src.epoch_rows] == ["hold"] * 3
+        assert src.rate == 1.0 / 1.5  # one update per first RTT, then held
+
     def test_rate_moves_within_clamp_band(self):
         src = self.drive_to_first_ack(rtt=0.1)
         now, rtt = 0.1, 0.1
         rates = [src.rate]
         for _ in range(300):
-            timers = dict((k, t) for k, t in src.timers())
-            if timers[SEND] <= timers[EPOCH]:
-                now = timers[SEND]
-                (pkt,) = src.fire(SEND, now)
+            now = src.deadline()
+            epochs = len(src.epoch_rows)
+            for pkt in src.fire(now):
                 src.on_ack(ack_for(pkt), now + rtt * (1 + 0.01 * (pkt.seq % 3)))
-            else:
-                now = timers[EPOCH]
-                src.fire(EPOCH, now)
+            if len(src.epoch_rows) > epochs:
                 rates.append(src.rate)
         for prev, cur in zip(rates, rates[1:]):
             assert 0.75 * prev - 1e-9 <= cur <= 1.25 * prev + 1e-9
@@ -303,9 +317,9 @@ def poisson_deadlines(src, n):
     src.start(0.0)
     deadlines = []
     for _ in range(n):
-        ((_, t),) = src.timers()
+        t = src.deadline()
         deadlines.append(t)
-        src.fire(SEND, t)
+        src.fire(t)
     return deadlines
 
 
@@ -324,3 +338,113 @@ def test_poisson_mode_draws_exponential_gaps_from_rng():
     gaps = [b - a for a, b in zip([0.0] + live, live)]
     assert len(set(gaps)) == 20 and min(gaps) > 0
 
+
+def plain_state(src):
+    """Every field of a source as a comparable value, nested objects and rng included."""
+    out = {}
+    for name, value in vars(src).items():
+        if isinstance(value, random.Random):
+            value = value.getstate()
+        elif isinstance(value, (list, deque)):
+            value = list(value)
+        elif hasattr(value, "__dict__"):  # estimator, controller state, epoch window
+            value = dict(vars(value))
+        out[name] = value
+    return out
+
+
+class SourceContract(RuleBasedStateMachine):
+    """Any interleaving of timer fires and ACKs, genuine or not, on a virtual clock.
+
+    ACKs come at least 1 us after their update was sent, and may share a
+    time with each other, as ACKs drained in one pass of the live loop do.
+    """
+
+    @initialize(mode=st.sampled_from(["constant:50", "poisson:50", "lazy", "acp+"]),
+                seed=st.integers(0, 2**32))
+    def start(self, mode, seed):
+        self.src = make_source(mode, rng=random.Random(seed))
+        self.now = 0.0
+        self.sent = self.src.start(0.0)
+
+    def fire(self, now):
+        src = self.src
+        rate = getattr(src, "rate", None)
+        self.now = now
+        self.sent += src.fire(now)
+        assert src.deadline() > now  # neither loop can spin
+        if isinstance(src, AcpPlusSource):  # at most one epoch closes per call
+            assert 0.75 * rate <= src.rate <= 1.25 * rate and src.rate > 0
+
+    @rule(times=st.integers(1, 30))
+    def fire_at_deadline(self, times):
+        for _ in range(times):
+            self.fire(max(self.now, self.src.deadline()))
+
+    @rule(late=st.floats(1e-9, 5.0))
+    def fire_late(self, late):
+        self.fire(max(self.now, self.src.deadline()) + late)
+
+    @rule(frac=st.floats(0.0, 1.0, exclude_max=True))
+    def fire_early(self, frac):
+        deadline = self.src.deadline()
+        now = self.now + frac * (deadline - self.now)
+        if now < deadline:
+            before = plain_state(self.src)
+            assert self.src.fire(now) == []
+            assert plain_state(self.src) == before
+            self.now = now
+
+    def ack(self, ack, gen_ts, delay):
+        self.now = max(self.now + delay, gen_ts / 1e9 + 1e-6)
+        self.sent += self.src.on_ack(ack, self.now)
+
+    @rule(data=st.data(), delay=st.sampled_from([0.0, 1e-6, 0.01, 0.3]))
+    def ack_in_order(self, data, delay):
+        """ACK some outstanding updates, in seq order, at one instant."""
+        outstanding = list(self.src.outstanding)
+        if outstanding:
+            picked = data.draw(st.lists(st.sampled_from(outstanding), min_size=1, max_size=3,
+                                        unique=True))
+            for seq, gen_ts in sorted(picked):
+                acks = len(self.src.ack_log)
+                self.ack(AckPacket(seq, gen_ts), gen_ts, delay)
+                assert len(self.src.ack_log) == acks + 1 and self.src.highest_acked_seq == seq
+                delay = 0.0
+
+    @rule(data=st.data(), delay=st.sampled_from([0.0, 0.01]))
+    def ack_stale_or_duplicate(self, data, delay):
+        highest = self.src.highest_acked_seq
+        done = [p for p in self.sent if highest is not None and p.seq <= highest]
+        if done:
+            pkt = data.draw(st.sampled_from(done))
+            discarded = self.src.discarded_acks
+            self.ack(ack_for(pkt), pkt.gen_ts, delay)
+            assert self.src.discarded_acks == discarded + 1
+
+    @rule(data=st.data(), never_sent=st.booleans(), offset=st.integers(1, 10**9))
+    def ack_forged(self, data, never_sent, offset):
+        src = self.src
+        if never_sent:
+            ack = AckPacket(src.next_seq + offset, data.draw(st.integers(0, 2**63)))
+        elif src.outstanding:
+            seq, gen_ts = data.draw(st.sampled_from(list(src.outstanding)))
+            ack = AckPacket(seq, gen_ts + data.draw(st.sampled_from([-offset, offset])))
+        else:
+            return
+        violations = src.violations
+        self.ack(ack, 0, 0.0)
+        assert src.violations == violations + 1
+
+    @invariant()
+    def backlog_is_the_outstanding_updates(self):
+        src = self.src
+        assert src.backlog == len(src.outstanding) >= 0
+        assert src.backlog_trace[-1] == (src.backlog_trace[-1][0], src.backlog)
+        first = 0 if src.highest_acked_seq is None else src.highest_acked_seq + 1
+        assert [seq for seq, _ in src.outstanding] == list(range(first, src.next_seq))
+        assert src.deadline() < math.inf
+
+
+TestSourceContract = SourceContract.TestCase
+TestSourceContract.settings = settings(max_examples=150, stateful_step_count=40, deadline=None)

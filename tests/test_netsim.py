@@ -18,6 +18,7 @@ from agectl.netsim import (
     GENERATED,
     PRIO_PACKET,
     PRIO_SLOT,
+    PRIO_TIMER,
     SERVICE_START,
     EventQueue,
     MultiaccessChannel,
@@ -25,6 +26,7 @@ from agectl.netsim import (
     SimConfig,
     StationConfig,
     StationQueue,
+    _Network,
     rtt_vs_load_curve,
     run_simulation,
     simulate_station_system_time,
@@ -551,6 +553,41 @@ class TestSweep:
         result = sweep_min_age(mu * PACKET_BITS, [1.0, 500.0], duration=30.0, seed=4)
         ages = {p.rate: p.avg_age for p in result.curve}
         assert ages[1.0] > 50 * ages[500.0]
+
+
+# _timer_fire pushes on the run below under the previous design, which
+# pushed a fresh event each time one of a source's per-kind deadlines moved
+KIND_DIFF_TIMER_PUSHES = {"lazy": 2421, "acp+": 2031}
+
+
+@pytest.mark.parametrize("protocol", ["lazy", "acp+"])
+def test_one_live_timer_event_per_source(protocol, monkeypatch):
+    # lazy's ACKs move its guard later on every update; acp+'s first ACK
+    # moves both its deadlines
+    station = StationConfig(service=DETERMINISTIC, rate=6e6, buffer=100, prop_delay=0.002)
+    cfg = SimConfig(stations=(station, station), n_sources=12, protocol=protocol,
+                    duration=3.0, seed=3,
+                    multiaccess=MultiaccessConfig(slot=2.5e-4, max_backoff_exp=5,
+                                                  per_source_loss=0.01))
+    pushes = []
+    push = EventQueue.push
+
+    def counting_push(evq, time, priority, fn, *args):
+        if getattr(fn, "__func__", None) is _Network._timer_fire:
+            pushes.append(args)
+        push(evq, time, priority, fn, *args)
+
+    monkeypatch.setattr(EventQueue, "push", counting_push)
+    net = run_simulation(cfg)
+    live = [0] * cfg.n_sources
+    for _, priority, _, fn, args in net.evq._heap:
+        if getattr(fn, "__func__", None) is _Network._timer_fire:
+            src, t = args
+            assert priority == PRIO_TIMER and t > cfg.duration
+            live[src] += t == net.timer_at[src]
+    assert live == [1] * cfg.n_sources
+    assert all(net.timer_at[i] <= s.deadline() for i, s in enumerate(net.sources))
+    assert len(pushes) <= KIND_DIFF_TIMER_PUSHES[protocol]
 
 
 def test_lazy_sim_backlog_near_one():
