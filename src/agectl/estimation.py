@@ -18,10 +18,6 @@ class NoSamples(Exception):
     """Raised when an epoch closed without a single ACK."""
 
 
-class ClockAnomaly(ValueError):
-    """An ACK appears to precede the generation of the update it covers."""
-
-
 def ewma_update(prev: float, sample: float, alpha: float) -> float:
     """One smoothing step: alpha * prev + (1 - alpha) * sample.
 
@@ -62,12 +58,10 @@ class NetworkEstimator:
     def record_ack(self, ack_time: float, gen_ts: float) -> None:
         """Fold one in-sequence ACK into the estimates.
 
-        The round-trip sample is ack_time - gen_ts (same clock); the gap
-        sample is the time since the previous ACK, available from the
-        second ACK on.
+        The round-trip sample is ack_time - gen_ts (same clock), and a
+        negative one raises ValueError; the gap sample is the time since the
+        previous ACK, available from the second ACK on.
         """
-        if ack_time < gen_ts:
-            raise ClockAnomaly(f"ack at {ack_time} precedes generation {gen_ts}")
         self.rtt_bar = ewma_update(self.rtt_bar, ack_time - gen_ts, self.alpha)
         if self.last_ack_time is not None:
             self.z_bar = ewma_update(self.z_bar, ack_time - self.last_ack_time, self.alpha)

@@ -144,6 +144,8 @@ class SimConfig:
             raise ValueError("duration must be positive")
         if self.n_sources < 1:
             raise ValueError("need at least one source")
+        if self.payload_bytes < 0:
+            raise ValueError("payload_bytes must be >= 0")
         if self.ack_path not in ("symmetric", "instant"):
             raise ValueError(f"unknown ack_path {self.ack_path!r}")
         modes = self.protocol.split(",")
@@ -203,7 +205,9 @@ class MultiaccessChannel:
     at once. Otherwise each station holding a head-of-line packet attempts
     after backoff-plus-geometric(persistence) idle slots; the earliest
     attempt wins the channel and ties collide, after which each collider
-    redraws with a binary-exponential backoff window. Collided packets are
+    redraws with a binary-exponential backoff window. The window draw is
+    CPython's `randrange` written out inline; the brute-force differential
+    test in `tests/test_netsim.py` pins it draw for draw. Collided packets are
     retried, never lost; the per-source loss applies to successes instead.
 
     Countdowns freeze while the channel is busy (the frozen backoff of
@@ -314,10 +318,14 @@ class MultiaccessChannel:
             attempts, rngs, buckets = self.attempts, self.rngs, self.buckets
             cap, log_q = cfg.max_backoff_exp, self.log_q
             log, heappush = math.log, heapq.heappush
-            for i in senders:  # _geom and _wait, inlined in the hottest loop
+            for i in senders:  # _geom, _wait and randrange, inlined in the hottest loop
                 n = attempts[i] = attempts[i] + 1
                 rng = rngs[i]
-                key = base + rng.randrange(1 << min(n, cap))
+                c = n if n < cap else cap
+                r = rng.getrandbits(c + 1)  # randrange(1 << c) as CPython draws it
+                while r >> c:
+                    r = rng.getrandbits(c + 1)
+                key = base + r
                 if log_q is not None:
                     key += int(log(1.0 - rng.random()) / log_q)
                 bucket = buckets.get(key)

@@ -159,6 +159,7 @@ class TestSpecKeys:
     ("sweep_sources = 1,4\n"
      + TestSpecKeys.MINIMAL.replace("slot = 1e-4", "persistence = 1\nmax_backoff_exp = 0"),
      "4 sources: persistence 1 with max_backoff_exp 0: colliders collide for ever"),
+    ("payload_bytes = -1\n" + TestSpecKeys.MINIMAL, "top level: payload_bytes must be >= 0"),
     ("warmup_frac = 1.5\n" + TestSpecKeys.MINIMAL, "warmup_frac must be in [0, 1), got 1.5"),
     ("warmup_frac = -0.5\n" + TestSpecKeys.MINIMAL, "warmup_frac must be in [0, 1), got -0.5"),
     ("warmup_frac = 1\n" + TestSpecKeys.MINIMAL, "warmup_frac must be in [0, 1), got 1.0"),

@@ -110,7 +110,7 @@ class TestAckHandling:
         assert src.highest_acked_seq is None
 
     def test_forged_gen_ts_is_dropped_as_violation(self):
-        # a sent seq with a gen_ts in the future used to raise ClockAnomaly
+        # a sent seq with a gen_ts in the future would give a negative RTT sample
         src, pkts = self.make_source_with_sends(3)
         assert src.on_ack(AckPacket(seq=0, gen_ts=10**12), 0.5) == []
         assert src.on_ack(AckPacket(seq=2, gen_ts=pkts[2].gen_ts + 1), 3.0) == []

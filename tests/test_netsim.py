@@ -1,8 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import agectl
 from agectl.metrics import (
     age_trace_from_deliveries,
     default_horizon,
@@ -184,14 +189,18 @@ def test_countdown_freezes_while_another_frame_is_on_air():
 
 
 class BackoffDraw(GeomDraw):
-    """GeomDraw that also takes a fixed backoff slot after each collision."""
+    """GeomDraw that also takes a fixed backoff slot after each collision.
+
+    The channel draws a window of 1 << c slots as getrandbits(c + 1) until the
+    value is below 1 << c, so every value returned here is below that.
+    """
 
     def __init__(self, k, backoff):
         super().__init__(k)
         self.backoff = backoff
 
-    def randrange(self, n):
-        return min(self.backoff, n - 1)
+    def getrandbits(self, k):
+        return min(self.backoff, (1 << (k - 1)) - 1)
 
 
 def test_frames_ending_after_the_horizon_are_left_out_of_the_statistics():
@@ -319,7 +328,7 @@ def drive_channel(make, n_sources, persistence, max_backoff_exp, seed):
     return delivered, channel.collisions, channel.access_delays
 
 
-@pytest.mark.parametrize("max_backoff_exp", [0, 3, 5])
+@pytest.mark.parametrize("max_backoff_exp", [0, 3, 5, 10])
 @pytest.mark.parametrize("persistence", [0.05, 0.25, 1.0])
 def test_slot_buckets_match_a_brute_force_channel(persistence, max_backoff_exp):
     collisions = 0
@@ -330,6 +339,33 @@ def test_slot_buckets_match_a_brute_force_channel(persistence, max_backoff_exp):
                              seed) == expected
         collisions += expected[1]
     assert collisions > 0
+
+
+class BitsLog(random.Random):
+    """random.Random that adds the bit count of each getrandbits call to `widths`."""
+
+    def getrandbits(self, k):
+        self.widths.add(k)
+        return super().getrandbits(k)
+
+
+def test_ten_collisions_in_a_row_draw_every_window_up_to_the_cap():
+    widths = set()
+
+    def logged_channel(*args):
+        channel = MultiaccessChannel(*args)
+        for i, rng in enumerate(channel.rngs):
+            channel.rngs[i] = BitsLog()
+            channel.rngs[i].setstate(rng.getstate())
+            channel.rngs[i].widths = widths
+        return channel
+
+    seed = "64/0.25/10"
+    expected = drive_channel(ReferenceChannel, 64, 0.25, 10, seed)
+    assert drive_channel(logged_channel, 64, 0.25, 10, seed) == expected
+    # the window 1 << c costs getrandbits(c + 1), and c reaches the cap of 10
+    # only for a station whose last 10 attempts all collided
+    assert widths == set(range(2, 12))
 
 
 class TestStationHop:
@@ -657,6 +693,9 @@ def test_config_validation():
         StationConfig(service=DETERMINISTIC, rate=1e6, buffer=0)
     with pytest.raises(ValueError):
         MultiaccessConfig(persistence=0.0)
+    with pytest.raises(ValueError, match="payload_bytes must be >= 0"):
+        SimConfig(stations=(st,), payload_bytes=-1)
+    SimConfig(stations=(st,), payload_bytes=0)
     with pytest.raises(ValueError, match="max_backoff_exp must be >= 0"):
         MultiaccessConfig(max_backoff_exp=-1)
     for rate in (0.0, -12e6):
@@ -668,3 +707,20 @@ def test_config_validation():
         SimConfig(stations=(st,), n_sources=2, multiaccess=stuck)
     cfg = SimConfig(stations=(st,), n_sources=2, protocol="acp+,lazy")
     assert cfg.mode_for(0) == "acp+" and cfg.mode_for(1) == "lazy"
+
+
+def test_importing_netsim_loads_nothing_from_site_packages():
+    # the runtime is stdlib-only (pyproject's dependencies = []); the site
+    # .pth hooks load some site-packages modules at start-up, so only the
+    # modules that the import adds count
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import agectl.netsim\n"
+             "for name in set(sys.modules) - before:\n"
+             "    print(name, getattr(sys.modules[name], '__file__', None))\n")
+    src = str(Path(agectl.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    loaded = dict(line.split(" ", 1) for line in out.splitlines())
+    assert "agectl.netsim" in loaded
+    assert [name for name, path in loaded.items() if "site-packages" in Path(path).parts] == []
