@@ -50,7 +50,7 @@ from .netsim import (
     run_simulation,
     sweep_min_age,
 )
-from .transport import ProxyConfig, run_monitor, run_proxy, run_source
+from .transport import ProxyConfig, ProxyStats, run_monitor, run_proxy, run_source
 from .wire import DEFAULT_PAYLOAD_BYTES, MAX_PAYLOAD, update_bits
 
 # -- spec file parsing
@@ -573,7 +573,12 @@ def main(argv=None):
         except ValueError as exc:
             print(f"proxy: {exc}", file=sys.stderr)
             return 2
-        return run_proxy(cfg, duration=args.duration)
+        stats = ProxyStats()
+        status = run_proxy(cfg, duration=args.duration, stats=stats)
+        for d, direction in enumerate(("forward", "reverse")):
+            print(f"proxy {direction}: received {stats.received[d]}, "
+                  f"forwarded {stats.forwarded[d]}, dropped {stats.dropped[d]}")
+        return status
     if args.command == "sweep-min-age":
         return cmd_sweep_min_age(args)
     if args.command == "rtt-curve":

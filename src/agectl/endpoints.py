@@ -67,7 +67,7 @@ class SourceBase:
     """Shared bookkeeping: sequence space, backlog, estimates, logs."""
 
     def __init__(self, payload_bytes=DEFAULT_PAYLOAD_BYTES, alpha=DEFAULT_SMOOTHING):
-        self.payload_bytes = payload_bytes
+        self.payload = bytes(payload_bytes)  # immutable, so every update shares it
         self.next_seq = 0
         self.outstanding = deque()  # (seq, gen_ts_ns), consecutive ascending seqs
         self.highest_acked_seq = None
@@ -107,7 +107,7 @@ class SourceBase:
         pkt = UpdatePacket(
             seq=self.next_seq,
             gen_ts=round(now * 1e9),
-            payload=bytes(self.payload_bytes),
+            payload=self.payload,
         )
         self.next_seq += 1
         if self.first_send_time is None:

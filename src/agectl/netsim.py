@@ -21,7 +21,9 @@ of the hops are written ahead of time and sorted by time when the run ends.
 
 Every random stream is derived from (seed, entity id), so adding a source
 or station never perturbs the draws of the others, and identical
-(config, seed) pairs replay identical event traces.
+(config, seed) pairs replay identical event traces. Only the streams a run
+draws from are seeded: a source's for poisson gaps, a station's for
+exponential service and the channel's loss streams for a nonzero loss.
 """
 
 import heapq
@@ -31,7 +33,7 @@ from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .endpoints import Monitor, make_source
+from .endpoints import MODE_POISSON, Monitor, make_source, parse_mode
 from .estimation import DEFAULT_SMOOTHING
 from .metrics import (
     DEFAULT_WARMUP_FRAC,
@@ -245,7 +247,8 @@ class MultiaccessChannel:
         # log(1 - p) of the geometric countdown; None when p = 1 draws nothing
         self.log_q = math.log(1.0 - cfg.persistence) if cfg.persistence < 1.0 else None
         self.rngs = [random.Random(f"{seed}/ma/{i}") for i in range(n_sources)]
-        self.loss_rngs = [random.Random(f"{seed}/ma-loss/{i}") for i in range(n_sources)]
+        self.loss_rngs = ([random.Random(f"{seed}/ma-loss/{i}") for i in range(n_sources)]
+                          if cfg.per_source_loss else None)
         self.busy_until = 0.0
         self.serial = 0  # invalidates superseded attempt events
         self.access_delays = []  # enqueue-to-transmission-end, successes only
@@ -363,6 +366,11 @@ class _Network:
     `run_simulation` returns the network it ran, so its sources, monitors,
     channel, hops and per-source counts are the results. Updates and ACKs
     travel as the endpoints' own packets, with the source index beside them.
+
+    A finished network holds no reference cycle, so it is freed as soon as
+    its last reference goes, without the garbage collector. Its leftover
+    events keep their handlers as plain functions, which leaves them
+    readable but not runnable: a finished network cannot be resumed.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -375,18 +383,25 @@ class _Network:
         self.update_bits = update_bits(cfg.payload_bytes)
         self.ack_bits = ACK_SIZE * 8
 
-        self.sources = [
-            make_source(cfg.mode_for(i), rng=random.Random(f"{cfg.seed}/source/{i}"),
-                        payload_bytes=cfg.payload_bytes, alpha=cfg.alpha)
-            for i in range(cfg.n_sources)
-        ]
+        seed = cfg.seed
+        self.sources = []
+        for i in range(cfg.n_sources):
+            mode = cfg.mode_for(i)
+            poisson = parse_mode(mode)[0] == MODE_POISSON  # the only kind that draws
+            rng = random.Random(f"{seed}/source/{i}") if poisson else None
+            self.sources.append(make_source(mode, rng=rng, payload_bytes=cfg.payload_bytes,
+                                            alpha=cfg.alpha))
         self.monitors = [Monitor() for _ in range(cfg.n_sources)]
         self.timer_at = [math.inf] * cfg.n_sources  # time of each source's live timer event
 
-        seed = cfg.seed
+        def hop(idx, direction):
+            st = cfg.stations[idx]
+            rng = (random.Random(f"{seed}/station/{idx}/{direction}")
+                   if st.service == EXPONENTIAL else None)
+            return StationQueue(st, rng)
+
         # forward: multiaccess -> stations -> monitor
-        self.fwd_hops = [StationQueue(st, random.Random(f"{seed}/station/{idx}/fwd"))
-                         for idx, st in enumerate(cfg.stations)]
+        self.fwd_hops = [hop(idx, "fwd") for idx in range(len(cfg.stations))]
         self.channel = None
         if cfg.multiaccess is not None:
             self.channel = MultiaccessChannel(
@@ -398,9 +413,7 @@ class _Network:
         # reverse, for ACKs: stations reversed, then the downlink; None is instant
         self.rev_hops = None
         if cfg.ack_path == "symmetric":
-            self.rev_hops = [StationQueue(cfg.stations[idx],
-                                          random.Random(f"{seed}/station/{idx}/rev"))
-                             for idx in reversed(range(len(cfg.stations)))]
+            self.rev_hops = [hop(idx, "rev") for idx in reversed(range(len(cfg.stations)))]
             if cfg.multiaccess is not None:
                 downlink = StationConfig(rate=cfg.multiaccess.link_rate)
                 self.rev_hops.append(StationQueue(downlink, None))
@@ -493,6 +506,13 @@ class _Network:
             self._arm(src)
         duration = self.cfg.duration
         self.evq.run_until(duration)
+        # break every cycle: leftover events drop their bound methods, and the
+        # channel its hooks into the network
+        heap = self.evq._heap
+        for k, (t, prio, n, fn, args) in enumerate(heap):
+            heap[k] = (t, prio, n, getattr(fn, "__func__", fn), args)
+        if self.channel is not None:
+            self.channel.sink = self.channel.tracer = self.channel.on_drop = None
         # hop rows were written ahead of their time
         self.trace = sorted((row for row in self.trace or () if row[0] <= duration),
                             key=itemgetter(0))

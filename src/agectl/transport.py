@@ -16,6 +16,7 @@ import random
 import select
 import socket
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from .csvio import ack_csv_path, write_ack_log, write_epoch_log, write_monitor_log
@@ -71,6 +72,23 @@ def _drain(readable):
             yield sock, data, addr
 
 
+def _send(sock, data, addr, failures):
+    """sendto, where a failed local send is a lost datagram counted in `failures` by error."""
+    try:
+        sock.sendto(data, addr)
+    except OSError as exc:  # a full send buffer, a refused destination, ...
+        failures[exc.strerror or type(exc).__name__] += 1
+
+
+def _log_counts(decode_errors, send_failures):
+    """One warning per kind of datagram the session lost at this end."""
+    if decode_errors:
+        log.warning("%d undecodable datagrams ignored", decode_errors)
+    if send_failures:
+        reasons = ", ".join(f"{n} {why}" for why, n in sorted(send_failures.items()))
+        log.warning("%d datagrams not sent (%s)", sum(send_failures.values()), reasons)
+
+
 def run_source(peer, mode, duration, out, payload_bytes=DEFAULT_PAYLOAD_BYTES,
                listen=None, stop=None):
     """Drive an update source against a remote monitor; returns exit status.
@@ -78,19 +96,21 @@ def run_source(peer, mode, duration, out, payload_bytes=DEFAULT_PAYLOAD_BYTES,
     Writes the per-epoch controller log to `out` and the per-ACK RTT
     samples next to it (needed to estimate age when only this end's clock
     is trusted). The socket stays unconnected, so an ICMP error from the
-    peer cannot end the session; forged ACKs are counted and dropped. When
-    seq outgrows the wire's 32 bits the session ends early, logs written.
+    peer cannot end the session; forged ACKs are counted and dropped, and
+    so is an update the host fails to send. When seq outgrows the wire's
+    32 bits the session ends early, logs written.
     """
     peer_addr = _parse_addr(peer) if isinstance(peer, str) else peer
     try:
         with _bound_socket(listen or ("0.0.0.0", 0)) as sock:
             source = make_source(mode, payload_bytes=payload_bytes)
             decode_errors = 0
+            send_failures = Counter()
             t0 = time.monotonic()
 
             def send_all(packets):
                 for pkt in packets:
-                    sock.sendto(encode_update(pkt), peer_addr)
+                    _send(sock, encode_update(pkt), peer_addr, send_failures)
 
             try:
                 if duration > 0:
@@ -115,8 +135,7 @@ def run_source(peer, mode, duration, out, payload_bytes=DEFAULT_PAYLOAD_BYTES,
                 log.warning("session ended early: %s", exc)
         write_epoch_log(out, source.epoch_rows)
         write_ack_log(ack_csv_path(out), source.ack_log)
-        if decode_errors:
-            log.warning("%d undecodable datagrams ignored", decode_errors)
+        _log_counts(decode_errors, send_failures)
         if source.violations:
             log.warning("%d acks for unsent seqs or mismatched gen_ts dropped", source.violations)
         return 0
@@ -126,11 +145,15 @@ def run_source(peer, mode, duration, out, payload_bytes=DEFAULT_PAYLOAD_BYTES,
 
 
 def run_monitor(listen, duration, out, stop=None):
-    """Receive updates, ACK the fresh ones, log deliveries; returns exit status."""
+    """Receive updates, ACK the fresh ones, log deliveries; returns exit status.
+
+    An ACK the host fails to send is counted as lost, and the session goes on.
+    """
     try:
         with _bound_socket(listen) as sock:
             monitor = Monitor()
             decode_errors = 0
+            send_failures = Counter()
             t0 = time.monotonic()
             while True:
                 now = time.monotonic() - t0
@@ -147,10 +170,9 @@ def run_monitor(listen, duration, out, stop=None):
                         continue
                     ack = monitor.on_update(pkt, now)
                     if ack is not None:
-                        sock.sendto(encode_ack(ack), addr)
+                        _send(sock, encode_ack(ack), addr, send_failures)
         write_monitor_log(out, monitor.delivery_log)
-        if decode_errors:
-            log.warning("%d undecodable datagrams ignored", decode_errors)
+        _log_counts(decode_errors, send_failures)
         if monitor.discarded:
             log.info("%d out-of-sequence updates discarded", monitor.discarded)
         return 0

@@ -1,6 +1,9 @@
 import csv
 import json
 import re
+import socket
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -469,3 +472,34 @@ def test_out_of_range_numbers_are_one_line_errors_that_write_nothing(argv, messa
     assert main(argv + extra) == 2
     assert capsys.readouterr().err == message + "\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_proxy_prints_its_counters_per_direction(capsys):
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sink, \
+            socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sender:
+        sink.bind(("127.0.0.1", 0))
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as free:
+            free.bind(("127.0.0.1", 0))
+            listen = free.getsockname()[1]
+        status = []
+        argv = ["proxy", "--listen", f"127.0.0.1:{listen}",
+                "--forward", f"127.0.0.1:{sink.getsockname()[1]}", "--duration", "0.2"]
+        proxy = threading.Thread(target=lambda: status.append(main(argv)))
+        proxy.start()
+        while proxy.is_alive():  # sent before the proxy binds, or after it ends, is lost
+            sender.sendto(b"update", ("127.0.0.1", listen))
+            time.sleep(0.005)
+        proxy.join()
+        sink.setblocking(False)
+        arrived = 0
+        while True:
+            try:
+                sink.recvfrom(2048)
+            except BlockingIOError:
+                break
+            arrived += 1
+    assert status == [0] and arrived > 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"proxy forward: received {arrived}, forwarded {arrived}, dropped 0",
+        "proxy reverse: received 0, forwarded 0, dropped 0",
+    ]

@@ -302,6 +302,17 @@ def test_make_source_modes():
         make_source("tcp")
 
 
+@pytest.mark.parametrize("mode", ["constant:10", "poisson:10", "lazy", "acp+"])
+def test_updates_of_one_source_share_one_payload(mode):
+    src = make_source(mode, payload_bytes=100)
+    sent = src.start(0.0)
+    while len(sent) < 2:
+        sent += src.fire(src.deadline())
+    first, second = sent[:2]
+    assert first.seq != second.seq
+    assert first.payload is second.payload and first.payload == bytes(100)
+
+
 def test_parse_mode():
     assert parse_mode("acp+") == ("acp+", None)
     assert parse_mode("lazy") == ("lazy", None)

@@ -1,8 +1,10 @@
+import gc
 import math
 import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -617,13 +619,41 @@ def test_one_live_timer_event_per_source(protocol, monkeypatch):
     net = run_simulation(cfg)
     live = [0] * cfg.n_sources
     for _, priority, _, fn, args in net.evq._heap:
-        if getattr(fn, "__func__", None) is _Network._timer_fire:
+        if fn is _Network._timer_fire:  # a finished network keeps plain functions
             src, t = args
             assert priority == PRIO_TIMER and t > cfg.duration
             live[src] += t == net.timer_at[src]
     assert live == [1] * cfg.n_sources
     assert all(net.timer_at[i] <= s.deadline() for i, s in enumerate(net.sources))
     assert len(pushes) <= KIND_DIFF_TIMER_PUSHES[protocol]
+
+
+@pytest.mark.parametrize("protocol, ack_path, channel", [
+    ("lazy", "symmetric", True),
+    ("acp+", "symmetric", True),
+    ("acp+", "instant", False),
+])
+def test_a_finished_network_is_freed_without_the_collector(protocol, ack_path, channel):
+    station = StationConfig(service=EXPONENTIAL, rate=2e6, buffer=20, prop_delay=0.002)
+    multiaccess = (MultiaccessConfig(link_rate=2e6, slot=1e-4, max_backoff_exp=5,
+                                     per_source_loss=0.05) if channel else None)
+    cfg = SimConfig(stations=(station,), n_sources=16, protocol=protocol, duration=1.0,
+                    seed=4, multiaccess=multiaccess, ack_path=ack_path, record_trace=True)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        net = run_simulation(cfg)
+        census = net.resident_census()
+        # the run ends with updates inside, and with events and frames left over
+        assert sum(census) > 0 and net.evq._heap
+        if channel:
+            assert sum(map(len, net.channel.queues)) > 0
+        ref = weakref.ref(net)
+        del net
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_lazy_sim_backlog_near_one():

@@ -373,10 +373,46 @@ class TestLiveEndpoints:
 
     def test_unreachable_peer_stalls_cleanly(self, tmp_path):
         out = tmp_path / "src.csv"
-        # 203.0.113.0/24 is reserved for documentation: nothing answers
-        rc = run_source("203.0.113.1:9", "acp+", 0.5, str(out))
+        # a socket that is bound but never read: the updates land, nothing answers
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as silent:
+            silent.bind((HOST, 0))
+            rc = run_source(f"{HOST}:{silent.getsockname()[1]}", "acp+", 0.5, str(out))
         assert rc == 0
         assert read_ack_log(ack_csv_path(out)) == []
+
+    def test_a_failed_update_send_is_a_lost_update(self, tmp_path, caplog):
+        out = tmp_path / "src.csv"
+        # without SO_BROADCAST the host refuses each send (EACCES) before anything leaves it
+        with caplog.at_level(logging.WARNING, logger="agectl.transport"):
+            rc = run_source("255.255.255.255:9", "constant:200", 0.3, str(out))
+        assert rc == 0
+        assert list(csv.reader(open(out)))[0][0] == "k"
+        assert read_ack_log(ack_csv_path(out)) == []
+        [warning] = [r.getMessage() for r in caplog.records if "not sent" in r.getMessage()]
+        assert int(warning.split()[0]) >= 10  # about 60 sends in 0.3 s, each counted once
+
+    def test_a_failed_ack_send_is_a_lost_ack(self, tmp_path, caplog, monkeypatch):
+        # an ACK too large for one datagram: the host refuses each send (EMSGSIZE)
+        monkeypatch.setattr(transport, "encode_ack", lambda ack: bytes(70_000))
+        port = free_port()
+        out = tmp_path / "mon.csv"
+        status = []
+        t = threading.Thread(target=lambda: status.append(
+            run_monitor(f"{HOST}:{port}", 0.5, str(out))))
+        with caplog.at_level(logging.WARNING, logger="agectl.transport"), \
+                socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as client:
+            t.start()
+            seq = 0
+            while t.is_alive():
+                client.sendto(encode_update(UpdatePacket(seq=seq, gen_ts=seq)), (HOST, port))
+                seq += 1
+                time.sleep(0.01)
+            t.join()
+        assert status == [0]
+        delivered = len(read_monitor_log(out))
+        assert delivered >= 1
+        [warning] = [r.getMessage() for r in caplog.records if "not sent" in r.getMessage()]
+        assert warning == f"{delivered} datagrams not sent ({delivered} Message too long)"
 
 
 def _keeping(made, factory):
