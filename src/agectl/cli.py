@@ -216,6 +216,10 @@ class ExperimentSpec:
 
 # -- run execution and summaries
 
+# the summary columns that rollup.csv aggregates: every metric but inter_ack_ms,
+# which would change rollup.csv's layout
+ROLLUP_METRICS = slice(3, 9)
+
 
 def _fmt(value):
     if value is None or (isinstance(value, float) and math.isnan(value)):
@@ -281,11 +285,7 @@ def _execute_run(args):
         "spec": spec_text,
     }
     (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    row = [run_id, proto, n] + [
-        _fmt(summary[k]) for k in ("avg_age_ms", "avg_delay_ms", "throughput_bps",
-                                   "inter_delivery_ms", "backlog_avg", "fairness",
-                                   "inter_ack_ms")
-    ]
+    row = [run_id, proto, n] + [_fmt(summary[k]) for k in SUMMARY_COLUMNS[3:]]
     write_rows(run_dir / "summary.csv", SUMMARY_COLUMNS, [row])
     return row
 
@@ -313,9 +313,7 @@ def cmd_simulate(spec_path, out_dir, jobs=1):
     write_rows(
         out / "rollup.csv",
         ("sources", "protocol", "runs") + tuple(
-            f"{m}_{s}" for m in ("avg_age_ms", "avg_delay_ms", "throughput_bps",
-                                 "inter_delivery_ms", "backlog_avg", "fairness")
-            for s in ("mean", "std")
+            f"{m}_{s}" for m in SUMMARY_COLUMNS[ROLLUP_METRICS] for s in ("mean", "std")
         ),
         rollup,
     )
@@ -340,8 +338,8 @@ def _rollup(rows):
     out = []
     for (n, proto), members in sorted(groups.items()):
         entry = [n, proto, len(members)]
-        for idx in range(3, 9):  # metric columns of SUMMARY_COLUMNS
-            values = [float(m[idx]) for m in members if m[idx] != ""]
+        for column in list(zip(*members))[ROLLUP_METRICS]:
+            values = [float(v) for v in column if v != ""]
             if values:
                 entry.append(round(statistics.mean(values), 6))
                 entry.append(round(statistics.stdev(values), 6) if len(values) > 1 else 0.0)
@@ -493,6 +491,14 @@ def _mode(text):
     return text
 
 
+def _duration(text):
+    """text as a live session's length: a finite number of seconds, 0 or more."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise ValueError(f"duration must be finite and >= 0, got {text}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="agectl",
                                      description="age-control update transport toolkit")
@@ -506,14 +512,14 @@ def build_parser():
     p = sub.add_parser("source", help="run a live update source")
     p.add_argument("--peer", required=True)
     p.add_argument("--mode", type=_arg_type(_mode), default="acp+")
-    p.add_argument("--duration", type=float, required=True)
+    p.add_argument("--duration", type=_arg_type(_duration), required=True)
     p.add_argument("--payload-bytes", type=int, default=DEFAULT_PAYLOAD_BYTES)
     p.add_argument("--listen", default=None)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("monitor", help="run a live monitor")
     p.add_argument("--listen", required=True)
-    p.add_argument("--duration", type=float, required=True)
+    p.add_argument("--duration", type=_arg_type(_duration), required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("proxy", help="run the delay/loss proxy")
@@ -523,7 +529,7 @@ def build_parser():
     p.add_argument("--delay-dist", choices=("constant", "exponential"), default="constant")
     p.add_argument("--loss", type=float, default=0.0)
     p.add_argument("--reorder", action="store_true")
-    p.add_argument("--duration", type=float, default=None)
+    p.add_argument("--duration", type=_arg_type(_duration), default=None)
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("sweep-min-age", help="find the age-minimizing constant rate")

@@ -15,49 +15,9 @@ floor. Exact-zero differences are treated as the non-positive side, which
 biases toward the gentler INC/DEC actions under stalls and quantization.
 """
 
-import enum
-from dataclasses import dataclass, replace
-
 PACKETS_PER_EPOCH = 10
 RATE_STEP_DOWN = 0.75
 RATE_STEP_UP = 1.25
-
-
-class ActionKind(enum.Enum):
-    INC = "inc"
-    DEC = "dec"
-    MDEC = "mdec"
-
-
-@dataclass(frozen=True)
-class ControlAction:
-    kind: ActionKind
-    target_backlog_change: float
-    gamma: int = 0  # escalation level, meaningful for MDEC only
-
-    def __str__(self):
-        if self.kind is ActionKind.MDEC:
-            return f"mdec{self.gamma}"
-        return self.kind.value
-
-
-@dataclass(frozen=True)
-class ControlInputs:
-    b_k: float  # backlog average, this epoch minus previous
-    delta_k: float  # age average, this epoch minus previous
-    backlog_avg: float  # this epoch's backlog average (MDEC base)
-
-
-@dataclass(frozen=True)
-class ControllerState:
-    """Decision state carried across epochs; immutable for replayability."""
-
-    rate: float  # updates per second
-    flag: bool = False
-    gamma: int = 0
-    prev_age_avg: float | None = None
-    prev_backlog_avg: float | None = None
-    epoch_index: int = 0
 
 
 def epoch_length(rate: float) -> float:
@@ -71,42 +31,29 @@ def mdec_target(gamma: int, backlog_avg: float) -> float:
     return -(1.0 - 2.0 ** (-gamma)) * backlog_avg
 
 
-def control_step(state: ControllerState, inputs: ControlInputs):
+def control_step(flag: bool, gamma: int, b_k: float, delta_k: float, backlog_avg: float):
     """Pick the action for one epoch boundary.
 
-    Returns (action, next_state); next_state carries the updated flag and
-    escalation level but leaves the rate untouched (the caller follows up
-    with update_lambda). Pure function: same (state, inputs) in, same
-    (action, state) out.
+    `b_k` and `delta_k` are this epoch's backlog and age averages minus the
+    previous epoch's, and `backlog_avg` is this epoch's backlog average (the
+    MDEC base). Returns (action, target, flag, gamma): the logged action
+    ("inc", "dec" or "mdec<g>"), the target backlog change for update_lambda,
+    and the flag and escalation level to carry into the next epoch.
     """
-    if state.epoch_index < 1:
-        raise ValueError("control requires a completed previous epoch")
-    b_up = inputs.b_k > 0
-    age_up = inputs.delta_k > 0
-
+    b_up = b_k > 0
+    age_up = delta_k > 0
     if b_up and age_up:
         # rate overshoot: back off, escalating once a plain DEC already ran
-        if state.flag:
-            gamma = state.gamma + 1
-            action = ControlAction(ActionKind.MDEC, mdec_target(gamma, inputs.backlog_avg), gamma)
-        else:
-            gamma = state.gamma
-            action = ControlAction(ActionKind.DEC, -1.0)
-        next_state = replace(state, flag=True, gamma=gamma)
-    elif b_up != age_up:
-        action = ControlAction(ActionKind.INC, 1.0)
-        next_state = replace(state, flag=False, gamma=0)
-    else:
-        if state.flag and state.gamma > 0:
-            # keep draining at the established fraction
-            action = ControlAction(
-                ActionKind.MDEC, mdec_target(state.gamma, inputs.backlog_avg), state.gamma
-            )
-            next_state = state
-        else:
-            action = ControlAction(ActionKind.DEC, -1.0)
-            next_state = replace(state, flag=False, gamma=0)
-    return action, next_state
+        if flag:
+            gamma += 1
+            return f"mdec{gamma}", mdec_target(gamma, backlog_avg), True, gamma
+        return "dec", -1.0, True, gamma
+    if b_up != age_up:
+        return "inc", 1.0, False, 0
+    if flag and gamma > 0:
+        # keep draining at the established fraction
+        return f"mdec{gamma}", mdec_target(gamma, backlog_avg), True, gamma
+    return "dec", -1.0, False, 0
 
 
 def update_lambda(prev_rate: float, z_bar: float, rtt_bar: float, target: float) -> float:
@@ -126,8 +73,3 @@ def update_lambda(prev_rate: float, z_bar: float, rtt_bar: float, target: float)
 
 
 EPOCH_LOG_COLUMNS = ("k", "t_k", "lambda", "action", "b_star", "b_k", "delta_k", "flag", "gamma")
-
-
-def epoch_log_row(k, t_k, rate, action, b_star, b_k, delta_k, flag, gamma):
-    """One diagnostic CSV row per epoch, column order fixed by EPOCH_LOG_COLUMNS."""
-    return (k, t_k, rate, action, b_star, b_k, delta_k, int(flag), gamma)

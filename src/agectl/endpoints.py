@@ -21,16 +21,8 @@ import logging
 import math
 import random
 from collections import deque
-from dataclasses import replace
 
-from .controller import (
-    ControlInputs,
-    ControllerState,
-    control_step,
-    epoch_length,
-    epoch_log_row,
-    update_lambda,
-)
+from .controller import control_step, epoch_length, update_lambda
 from .estimation import DEFAULT_SMOOTHING, EpochWindow, NetworkEstimator, NoSamples
 from .wire import DEFAULT_PAYLOAD_BYTES, AckPacket, UpdatePacket
 
@@ -200,7 +192,6 @@ class AcpPlusSource(SourceBase):
         super().__init__(**kw)
         self.rate = BOOTSTRAP_RATE
         self.in_bootstrap = True
-        self.controller_state = None
         self.epoch_window = None
         self.next_epoch_time = math.inf
 
@@ -214,7 +205,11 @@ class AcpPlusSource(SourceBase):
         This happens at start() and at the first ACK, so the first window
         reads both logs from their first row, that ACK included.
         """
-        self.controller_state = ControllerState(rate=self.rate)
+        self.epoch_index = 0
+        self.flag = False  # set by a backlog-up/age-up epoch, cleared by INC or a plain DEC
+        self.gamma = 0  # MDEC escalation level
+        self.prev_age_avg = None
+        self.prev_backlog_avg = None
         self.epoch_window = EpochWindow(self.ack_log, self.backlog_trace, now, anchor_time, 0.0)
         self.next_send_time = now + 1.0 / self.rate
         self.next_epoch_time = now + epoch_length(self.rate)
@@ -243,52 +238,34 @@ class AcpPlusSource(SourceBase):
         return []
 
     def _close_epoch(self, now):
-        state = self.controller_state
-        k = state.epoch_index
         try:
             age_avg = self.epoch_window.age_average(now)
             backlog_avg = self.epoch_window.backlog_average(now)
         except NoSamples:
             # stalled epoch: reuse the previous averages so control keeps acting
-            age_avg = state.prev_age_avg
-            backlog_avg = state.prev_backlog_avg
+            age_avg = self.prev_age_avg
+            backlog_avg = self.prev_backlog_avg
 
         if age_avg is None or not self.estimator.ready:
-            action_str, b_star, b_k, delta_k = "hold", 0.0, 0.0, 0.0
-            new_state = state
-        elif state.prev_age_avg is None:
-            action_str, b_star, b_k, delta_k = "init", 0.0, 0.0, 0.0
-            new_state = state
+            action, b_star, b_k, delta_k = "hold", 0.0, 0.0, 0.0
+        elif self.prev_age_avg is None:
+            action, b_star, b_k, delta_k = "init", 0.0, 0.0, 0.0
         else:
-            inputs = ControlInputs(
-                b_k=backlog_avg - state.prev_backlog_avg,
-                delta_k=age_avg - state.prev_age_avg,
-                backlog_avg=backlog_avg,
-            )
-            action, new_state = control_step(state, inputs)
-            self.rate = update_lambda(
-                state.rate, self.estimator.z_bar, self.estimator.rtt_bar,
-                action.target_backlog_change,
-            )
+            b_k = backlog_avg - self.prev_backlog_avg
+            delta_k = age_avg - self.prev_age_avg
+            action, b_star, self.flag, self.gamma = control_step(
+                self.flag, self.gamma, b_k, delta_k, backlog_avg)
+            self.rate = update_lambda(self.rate, self.estimator.z_bar, self.estimator.rtt_bar,
+                                      b_star)
             self.next_send_time = now + 1.0 / self.rate
-            action_str, b_star = str(action), action.target_backlog_change
-            b_k, delta_k = inputs.b_k, inputs.delta_k
 
-        self.controller_state = replace(
-            new_state,
-            rate=self.rate,
-            epoch_index=k + 1,
-            prev_age_avg=age_avg,
-            prev_backlog_avg=backlog_avg,
-        )
+        self.prev_age_avg = age_avg
+        self.prev_backlog_avg = backlog_avg
         self.epoch_window = self.epoch_window.roll(now)
         self.next_epoch_time = now + epoch_length(self.rate)
-        self.epoch_rows.append(
-            epoch_log_row(
-                k, now, self.rate, action_str, b_star, b_k, delta_k,
-                self.controller_state.flag, self.controller_state.gamma,
-            )
-        )
+        self.epoch_rows.append((self.epoch_index, now, self.rate, action, b_star, b_k, delta_k,
+                                int(self.flag), self.gamma))
+        self.epoch_index += 1
 
 
 def parse_mode(mode: str):

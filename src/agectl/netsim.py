@@ -94,11 +94,11 @@ class StationConfig:
     def __post_init__(self):
         if self.service not in (DETERMINISTIC, EXPONENTIAL):
             raise ValueError(f"unknown service kind {self.service!r}")
-        if self.rate <= 0:
+        if not self.rate > 0:  # `not x > 0` rejects NaN too, as the checks below do
             raise ValueError("station rate must be positive")
         if self.buffer is not None and self.buffer < 1:
             raise ValueError("finite buffer must hold at least one packet")
-        if self.prop_delay < 0:
+        if not self.prop_delay >= 0:
             raise ValueError("propagation delay must be non-negative")
 
 
@@ -113,11 +113,11 @@ class MultiaccessConfig:
     per_source_loss: float = 0.0  # stand-in for channel (shadowing) losses
 
     def __post_init__(self):
-        if self.link_rate <= 0:
+        if not self.link_rate > 0:
             raise ValueError("link_rate must be positive")
         if not 0 < self.persistence <= 1:
             raise ValueError("persistence must be in (0, 1]")
-        if self.slot <= 0:
+        if not self.slot > 0:
             raise ValueError("slot must be positive")
         if self.max_backoff_exp < 0:
             raise ValueError("max_backoff_exp must be >= 0")
@@ -142,8 +142,10 @@ class SimConfig:
         object.__setattr__(self, "stations", tuple(self.stations))
         if not self.stations:
             raise ValueError("at least one station is required")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not 0 < self.duration < math.inf:
+            raise ValueError("duration must be positive and finite")
+        if not 0 < self.alpha < 1:
+            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.n_sources < 1:
             raise ValueError("need at least one source")
         if self.payload_bytes < 0:

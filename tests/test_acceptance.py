@@ -16,13 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from agectl.controller import (
-    ActionKind,
-    ControlInputs,
-    ControllerState,
-    control_step,
-    update_lambda,
-)
+from agectl.controller import control_step, update_lambda
 from agectl.csvio import ack_csv_path, read_ack_log, read_monitor_log
 from agectl.metrics import (
     age_trace_from_deliveries,
@@ -62,13 +56,13 @@ def expected_action(flag, gamma, b, d, backlog_avg):
     if b > 0 and d > 0:
         if flag:
             g = gamma + 1
-            return ("mdec", g, -(1.0 - 2.0 ** (-g)) * backlog_avg, True, g)
-        return ("dec", None, -1.0, True, gamma)
+            return (f"mdec{g}", -(1.0 - 2.0 ** (-g)) * backlog_avg, True, g)
+        return ("dec", -1.0, True, gamma)
     if (b > 0 and d <= 0) or (b <= 0 and d > 0):
-        return ("inc", None, 1.0, False, 0)
+        return ("inc", 1.0, False, 0)
     if flag and gamma > 0:
-        return ("mdec", gamma, -(1.0 - 2.0 ** (-gamma)) * backlog_avg, True, gamma)
-    return ("dec", None, -1.0, False, 0)
+        return (f"mdec{gamma}", -(1.0 - 2.0 ** (-gamma)) * backlog_avg, True, gamma)
+    return ("dec", -1.0, False, 0)
 
 
 def test_criterion_1_controller_conformance():
@@ -80,22 +74,10 @@ def test_criterion_1_controller_conformance():
         for gamma in gammas:
             for b in (0.4, 0.0, -0.3):
                 for d in (0.002, 0.0, -0.001):
-                    state = ControllerState(rate=100.0, flag=flag, gamma=gamma,
-                                            prev_age_avg=1.0, prev_backlog_avg=1.0,
-                                            epoch_index=1)
-                    action, nxt = control_step(
-                        state, ControlInputs(b_k=b, delta_k=d, backlog_avg=backlog_avg))
-                    kind, exp_gamma, exp_target, exp_flag, exp_next_gamma = \
-                        expected_action(flag, gamma, b, d, backlog_avg)
-                    ok = (action.kind.value == kind
-                          and action.target_backlog_change == exp_target
-                          and nxt.flag == exp_flag
-                          and nxt.gamma == exp_next_gamma)
-                    if kind == "mdec":
-                        ok = ok and action.gamma == exp_gamma
+                    got = control_step(flag, gamma, b, d, backlog_avg)
                     checked += 1
-                    if not ok:
-                        failures.append((flag, gamma, b, d, action))
+                    if got != expected_action(flag, gamma, b, d, backlog_avg):
+                        failures.append((flag, gamma, b, d, got))
     elapsed = time.monotonic() - start
     report(1, "controller-conformance",
            not failures and elapsed < 1.0,
@@ -109,24 +91,18 @@ def test_criterion_2_rate_clamp_safety():
     start = time.monotonic()
     rng = random.Random(20240)
     steps = 100_000
-    state = ControllerState(rate=rng.uniform(0.5, 200.0), epoch_index=1,
-                            prev_age_avg=1.0, prev_backlog_avg=1.0)
-    rate = state.rate
+    flag, gamma = False, 0
+    rate = rng.uniform(0.5, 200.0)
     violations = 0
     for _ in range(steps):
-        inputs = ControlInputs(
-            b_k=rng.uniform(-3, 3) if rng.random() > 0.05 else 0.0,
-            delta_k=rng.uniform(-0.05, 0.05) if rng.random() > 0.05 else 0.0,
-            backlog_avg=rng.uniform(0.0, 20.0),
-        )
-        action, state = control_step(state, inputs)
-        new_rate = update_lambda(rate, rng.uniform(1e-4, 2.0), rng.uniform(1e-4, 2.0),
-                                 action.target_backlog_change)
+        b_k = rng.uniform(-3, 3) if rng.random() > 0.05 else 0.0
+        delta_k = rng.uniform(-0.05, 0.05) if rng.random() > 0.05 else 0.0
+        backlog_avg = rng.uniform(0.0, 20.0)
+        _, target, flag, gamma = control_step(flag, gamma, b_k, delta_k, backlog_avg)
+        new_rate = update_lambda(rate, rng.uniform(1e-4, 2.0), rng.uniform(1e-4, 2.0), target)
         if not (0.75 * rate <= new_rate <= 1.25 * rate and new_rate > 0):
             violations += 1
         rate = new_rate
-        state = ControllerState(rate=rate, flag=state.flag, gamma=state.gamma,
-                                prev_age_avg=1.0, prev_backlog_avg=1.0, epoch_index=1)
     elapsed = time.monotonic() - start
     report(2, "rate-clamp-safety", violations == 0 and elapsed < 10.0,
            f"{steps} steps, 0 violations, {elapsed:.1f}s" if not violations

@@ -166,6 +166,19 @@ class TestSpecKeys:
     ("warmup_frac = 1.5\n" + TestSpecKeys.MINIMAL, "warmup_frac must be in [0, 1), got 1.5"),
     ("warmup_frac = -0.5\n" + TestSpecKeys.MINIMAL, "warmup_frac must be in [0, 1), got -0.5"),
     ("warmup_frac = 1\n" + TestSpecKeys.MINIMAL, "warmup_frac must be in [0, 1), got 1.0"),
+    (TestSpecKeys.MINIMAL.replace("duration = 2", "duration = nan"),
+     "top level: duration must be positive and finite"),
+    (TestSpecKeys.MINIMAL.replace("duration = 2", "duration = inf"),
+     "top level: duration must be positive and finite"),
+    ("alpha = 1.5\n" + TestSpecKeys.MINIMAL, "top level: alpha must be in (0, 1), got 1.5"),
+    ("alpha = nan\n" + TestSpecKeys.MINIMAL, "top level: alpha must be in (0, 1), got nan"),
+    (TestSpecKeys.MINIMAL.replace("6e6", "nan"), "[station 1]: station rate must be positive"),
+    (TestSpecKeys.MINIMAL + "prop_delay = nan\n",
+     "[station 1]: propagation delay must be non-negative"),
+    (TestSpecKeys.MINIMAL.replace("slot = 1e-4", "slot = nan"),
+     "[multiaccess]: slot must be positive"),
+    (TestSpecKeys.MINIMAL.replace("slot = 1e-4", "link_rate = nan"),
+     "[multiaccess]: link_rate must be positive"),
 ])
 def test_simulate_reports_a_bad_spec_in_one_line(tmp_path, capsys, text, message):
     spec = tmp_path / "bad.spec"
@@ -310,6 +323,23 @@ def test_source_mode_without_a_positive_rate_exits_2(mode, capsys):
                                    "--duration", "1", "--out", "x.csv"])
     assert exc.value.code == 2
     assert "--mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["source", "--peer", "127.0.0.1:1", "--out", "src.csv", "--duration", "nan"],
+    ["monitor", "--listen", "127.0.0.1:0", "--out", "m.csv", "--duration", "nan"],
+    ["monitor", "--listen", "127.0.0.1:0", "--out", "m.csv", "--duration", "-1"],
+    ["proxy", "--listen", "127.0.0.1:0", "--forward", "127.0.0.1:1", "--duration", "inf"],
+])
+def test_live_duration_must_be_finite_and_not_negative(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    message = f"--duration: duration must be finite and >= 0, got {argv[-1]}"
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert build_parser().parse_args(argv[:-1] + ["0"]).duration == 0.0
 
 
 def test_source_accepts_poisson_mode(tmp_path):

@@ -2,83 +2,46 @@ import random
 
 import pytest
 
-from agectl.controller import (
-    ActionKind,
-    ControlInputs,
-    ControllerState,
-    control_step,
-    epoch_length,
-    mdec_target,
-    update_lambda,
-)
-
-
-def state(flag=False, gamma=0, rate=100.0, k=1):
-    return ControllerState(rate=rate, flag=flag, gamma=gamma, epoch_index=k,
-                           prev_age_avg=1.0, prev_backlog_avg=1.0)
-
-
-def step(flag, gamma, b, d, backlog_avg=4.0):
-    return control_step(state(flag, gamma), ControlInputs(b_k=b, delta_k=d,
-                                                          backlog_avg=backlog_avg))
+from agectl.controller import control_step, epoch_length, mdec_target, update_lambda
 
 
 class TestBranches:
     def test_backlog_up_age_up_first_time_is_dec(self):
-        action, nxt = step(False, 0, +0.4, +0.002)
-        assert action.kind is ActionKind.DEC
-        assert action.target_backlog_change == -1.0
-        assert nxt.flag and nxt.gamma == 0
+        assert control_step(False, 0, +0.4, +0.002, 4.0) == ("dec", -1.0, True, 0)
 
     def test_backlog_up_age_up_escalates(self):
         # with the flag already set, the level climbs and the target removes
         # (1 - 2^-2) of the current average backlog: -(0.75 * 4) = -3
-        action, nxt = step(True, 1, +0.4, +0.002, backlog_avg=4.0)
-        assert action.kind is ActionKind.MDEC and action.gamma == 2
-        assert action.target_backlog_change == pytest.approx(-3.0)
-        assert nxt.flag and nxt.gamma == 2
+        action, target, flag, gamma = control_step(True, 1, +0.4, +0.002, 4.0)
+        assert action == "mdec2"
+        assert target == pytest.approx(-3.0)
+        assert flag and gamma == 2
 
     def test_backlog_up_age_down_is_inc(self):
-        action, nxt = step(True, 2, +0.4, -0.001)
-        assert action.kind is ActionKind.INC
-        assert action.target_backlog_change == 1.0
-        assert not nxt.flag and nxt.gamma == 0
+        assert control_step(True, 2, +0.4, -0.001, 4.0) == ("inc", 1.0, False, 0)
 
     def test_backlog_down_age_up_is_inc(self):
-        action, nxt = step(True, 2, -0.3, +0.001)
-        assert action.kind is ActionKind.INC
-        assert not nxt.flag and nxt.gamma == 0
+        assert control_step(True, 2, -0.3, +0.001, 4.0) == ("inc", 1.0, False, 0)
 
     def test_backlog_down_age_down_plain_dec_resets(self):
-        action, nxt = step(True, 0, -0.3, -0.001)
-        assert action.kind is ActionKind.DEC
-        assert not nxt.flag and nxt.gamma == 0
+        assert control_step(True, 0, -0.3, -0.001, 4.0) == ("dec", -1.0, False, 0)
 
     def test_backlog_down_age_down_keeps_draining(self):
         # flag set with a positive level: the same fraction applies again
         # and neither the flag nor the level changes
-        action, nxt = step(True, 2, -0.3, -0.001, backlog_avg=2.0)
-        assert action.kind is ActionKind.MDEC and action.gamma == 2
-        assert action.target_backlog_change == pytest.approx(-1.5)
-        assert nxt.flag and nxt.gamma == 2
+        action, target, flag, gamma = control_step(True, 2, -0.3, -0.001, 2.0)
+        assert action == "mdec2"
+        assert target == pytest.approx(-1.5)
+        assert flag and gamma == 2
 
     def test_zero_signs_count_as_non_positive(self):
-        action, _ = step(False, 0, 0.0, 0.0)
-        assert action.kind is ActionKind.DEC
-        action, _ = step(False, 0, 0.0, +0.001)
-        assert action.kind is ActionKind.INC
-        action, _ = step(False, 0, +0.4, 0.0)
-        assert action.kind is ActionKind.INC
-
-    def test_requires_a_previous_epoch(self):
-        with pytest.raises(ValueError):
-            control_step(ControllerState(rate=1.0, epoch_index=0),
-                         ControlInputs(1.0, 1.0, 1.0))
+        assert control_step(False, 0, 0.0, 0.0, 4.0)[0] == "dec"
+        assert control_step(False, 0, 0.0, +0.001, 4.0)[0] == "inc"
+        assert control_step(False, 0, +0.4, 0.0, 4.0)[0] == "inc"
 
     def test_pure_function(self):
-        s = state(True, 1)
-        inp = ControlInputs(b_k=0.4, delta_k=0.002, backlog_avg=4.0)
-        assert control_step(s, inp) == control_step(s, inp)
+        args = (True, 1, 0.4, 0.002, 4.0)
+        assert control_step(*args) == control_step(*args)
 
 
 def test_mdec_never_exceeds_backlog():
@@ -123,32 +86,26 @@ class TestEpochLength:
 
 def test_random_trajectory_stays_clamped():
     rng = random.Random(42)
-    s = state()
-    rate = s.rate
+    flag, gamma = False, 0
+    rate = 100.0
     for _ in range(5000):
-        inp = ControlInputs(
-            b_k=rng.uniform(-2, 2),
-            delta_k=rng.uniform(-0.01, 0.01),
-            backlog_avg=rng.uniform(0, 10),
-        )
-        action, s = control_step(s, inp)
-        new_rate = update_lambda(rate, rng.uniform(1e-4, 1.0),
-                                 rng.uniform(1e-4, 1.0),
-                                 action.target_backlog_change)
+        b_k = rng.uniform(-2, 2)
+        delta_k = rng.uniform(-0.01, 0.01)
+        backlog_avg = rng.uniform(0, 10)
+        _, target, flag, gamma = control_step(flag, gamma, b_k, delta_k, backlog_avg)
+        new_rate = update_lambda(rate, rng.uniform(1e-4, 1.0), rng.uniform(1e-4, 1.0), target)
         assert 0.75 * rate - 1e-12 <= new_rate <= 1.25 * rate + 1e-12
         assert new_rate > 0
         rate = new_rate
-        s = ControllerState(rate=rate, flag=s.flag, gamma=s.gamma,
-                            prev_age_avg=1.0, prev_backlog_avg=1.0, epoch_index=1)
 
 
 def test_gamma_only_grows_through_consecutive_escalations():
-    s = state(False, 0)
-    _, s = control_step(s, ControlInputs(0.5, 0.001, 3.0))  # DEC, flag set
-    assert s.flag and s.gamma == 0
-    _, s = control_step(s, ControlInputs(0.5, 0.001, 3.0))  # MDEC(1)
-    assert s.gamma == 1
-    _, s = control_step(s, ControlInputs(0.5, 0.001, 3.0))  # MDEC(2)
-    assert s.gamma == 2
-    _, s = control_step(s, ControlInputs(-0.5, 0.001, 3.0))  # INC resets
-    assert not s.flag and s.gamma == 0
+    flag, gamma = False, 0
+    _, _, flag, gamma = control_step(flag, gamma, 0.5, 0.001, 3.0)  # DEC, flag set
+    assert flag and gamma == 0
+    _, _, flag, gamma = control_step(flag, gamma, 0.5, 0.001, 3.0)  # MDEC(1)
+    assert gamma == 1
+    _, _, flag, gamma = control_step(flag, gamma, 0.5, 0.001, 3.0)  # MDEC(2)
+    assert gamma == 2
+    _, _, flag, gamma = control_step(flag, gamma, -0.5, 0.001, 3.0)  # INC resets
+    assert not flag and gamma == 0

@@ -204,7 +204,7 @@ class TestAcpPlusSource:
     def test_bootstrap_rate_set_from_first_rtt(self):
         src = self.drive_to_first_ack(rtt=0.1)
         assert src.rate == pytest.approx(10.0)
-        assert epoch_length(src.controller_state.rate) == pytest.approx(1.0)
+        assert epoch_length(src.rate) == pytest.approx(1.0)
         assert src.next_epoch_time == pytest.approx(0.1 + 1.0)
 
     def test_epoch_length_rescales_with_rate(self):
