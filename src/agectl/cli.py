@@ -12,8 +12,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import signal
 import statistics
 import sys
+import threading
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -499,6 +501,31 @@ def _duration(text):
     return value
 
 
+def _until_signalled(run, *args, **kw):
+    """run(*args, stop=..., **kw), where SIGINT or SIGTERM ends the session as `stop` does.
+
+    The endpoint then writes its logs as at any other end, and the exit
+    status is 128 + the signal number, as shells report a killed process.
+    Off the main thread, where Python delivers no signals, run is just called.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        return run(*args, **kw)
+    stop = threading.Event()
+    caught = []
+
+    def handle(signum, frame):
+        caught.append(signum)
+        stop.set()
+
+    previous = {sig: signal.signal(sig, handle) for sig in (signal.SIGINT, signal.SIGTERM)}
+    try:
+        status = run(*args, stop=stop, **kw)
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
+    return 128 + caught[0] if caught and status == 0 else status
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="agectl",
                                      description="age-control update transport toolkit")
@@ -567,10 +594,10 @@ def main(argv=None):
             print(f"source: payload_bytes must be in [0, {MAX_PAYLOAD}], got {args.payload_bytes}",
                   file=sys.stderr)
             return 2
-        return run_source(args.peer, args.mode, args.duration, args.out,
-                          payload_bytes=args.payload_bytes, listen=args.listen)
+        return _until_signalled(run_source, args.peer, args.mode, args.duration, args.out,
+                                payload_bytes=args.payload_bytes, listen=args.listen)
     if args.command == "monitor":
-        return run_monitor(args.listen, args.duration, args.out)
+        return _until_signalled(run_monitor, args.listen, args.duration, args.out)
     if args.command == "proxy":
         try:
             cfg = ProxyConfig(listen=args.listen, forward=args.forward,
@@ -580,7 +607,7 @@ def main(argv=None):
             print(f"proxy: {exc}", file=sys.stderr)
             return 2
         stats = ProxyStats()
-        status = run_proxy(cfg, duration=args.duration, stats=stats)
+        status = _until_signalled(run_proxy, cfg, duration=args.duration, stats=stats)
         for d, direction in enumerate(("forward", "reverse")):
             print(f"proxy {direction}: received {stats.received[d]}, "
                   f"forwarded {stats.forwarded[d]}, dropped {stats.dropped[d]}")

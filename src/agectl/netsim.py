@@ -586,11 +586,13 @@ def rtt_vs_load_curve(station_cfg, rtt_base, loads, mode="analytic",
     Simulate mode runs the station under Poisson arrivals and
     reports rtt_base plus the measured mean system time.
     """
+    if not 0 <= rtt_base < math.inf:
+        raise ValueError(f"rtt_base must be finite and >= 0, got {rtt_base}")
     mu = station_cfg.rate / packet_bits  # packets per second
     out = []
     for load in loads:
-        if load <= 0:
-            raise ValueError("loads must be positive")
+        if not load > 0:
+            raise ValueError(f"loads must be positive, got {load}")
         if mode == "simulate":
             rtt = rtt_base + simulate_station_system_time(
                 station_cfg, load, packets, seed=f"{seed}/load{load}",

@@ -12,6 +12,7 @@ earlier one of the same direction.
 
 import heapq
 import logging
+import math
 import random
 import select
 import socket
@@ -37,6 +38,7 @@ CONSTANT = "constant"
 EXPONENTIAL = "exponential"
 
 _POLL = 0.05  # upper bound on select timeouts; keeps duration checks timely
+_UNDECODABLE = "undecodable"  # the key of undecodable datagrams among the lost ones
 
 
 def _parse_addr(text):
@@ -61,32 +63,62 @@ def _wait_readable(socks, timeout):
     return select.select(socks, [], [], max(0.0, min(timeout, _POLL)))[0]
 
 
-def _drain(readable):
-    """Yield (sock, data, addr) for each datagram waiting on the non-blocking sockets."""
-    for sock in readable:
-        while True:
-            try:
-                data, addr = sock.recvfrom(65535)
-            except (BlockingIOError, InterruptedError):
-                break
-            yield sock, data, addr
-
-
-def _send(sock, data, addr, failures):
-    """sendto, where a failed local send is a lost datagram counted in `failures` by error."""
+def _send(sock, data, addr, lost):
+    """sendto; True if the host took the datagram, else it is lost and counted by error."""
     try:
         sock.sendto(data, addr)
+        return True
     except OSError as exc:  # a full send buffer, a refused destination, ...
-        failures[exc.strerror or type(exc).__name__] += 1
+        lost[exc.strerror or type(exc).__name__] += 1
+        return False
 
 
-def _log_counts(decode_errors, send_failures):
-    """One warning per kind of datagram the session lost at this end."""
-    if decode_errors:
-        log.warning("%d undecodable datagrams ignored", decode_errors)
-    if send_failures:
-        reasons = ", ".join(f"{n} {why}" for why, n in sorted(send_failures.items()))
-        log.warning("%d datagrams not sent (%s)", sum(send_failures.values()), reasons)
+def _session(socks, duration, stop, lost, on_datagram, deadline=lambda: math.inf,
+             fire=lambda now: None, start=lambda: None, finish=lambda: None):
+    """The one live session loop, shared by source, monitor and proxy.
+
+    Session time is monotonic seconds since entry; `start()` runs at 0.0
+    unless `duration` is 0. Until `duration` passes or `stop` is set, each
+    pass waits for a datagram or the endpoint's `deadline()`, hands each
+    datagram to `on_datagram(sock, data, addr, now)`, then calls `fire(now)`
+    at a fresh clock read. `lost` counts undecodable datagrams and, through
+    `_send`, refused sends. An update the wire cannot carry ends the session
+    early. However it ends, `finish()` runs and each kind of loss is logged.
+    """
+    t0 = time.monotonic()
+    try:
+        if duration > 0:
+            start()
+        while True:
+            now = time.monotonic() - t0
+            if now >= duration or (stop is not None and stop.is_set()):
+                return
+            readable = _wait_readable(socks, min(deadline(), duration) - now)
+            now = time.monotonic() - t0
+            for sock in readable:  # drain each non-blocking socket
+                while True:
+                    try:
+                        data, addr = sock.recvfrom(65535)
+                    except (BlockingIOError, InterruptedError):
+                        break
+                    try:
+                        on_datagram(sock, data, addr, now)
+                    except OutOfRange:
+                        raise  # a seq the wire cannot carry, not a bad datagram
+                    except WireError as exc:
+                        lost[_UNDECODABLE] += 1
+                        log.debug("undecodable datagram: %s", exc)
+            fire(time.monotonic() - t0)
+    except OutOfRange as exc:  # the wire's seq space is used up
+        log.warning("session ended early: %s", exc)
+    finally:
+        finish()
+        undecodable = lost.pop(_UNDECODABLE, 0)
+        if undecodable:
+            log.warning("%d undecodable datagrams ignored", undecodable)
+        if lost:
+            reasons = ", ".join(f"{n} {why}" for why, n in sorted(lost.items()))
+            log.warning("%d datagrams not sent (%s)", sum(lost.values()), reasons)
 
 
 def run_source(peer, mode, duration, out, payload_bytes=DEFAULT_PAYLOAD_BYTES,
@@ -104,40 +136,25 @@ def run_source(peer, mode, duration, out, payload_bytes=DEFAULT_PAYLOAD_BYTES,
     try:
         with _bound_socket(listen or ("0.0.0.0", 0)) as sock:
             source = make_source(mode, payload_bytes=payload_bytes)
-            decode_errors = 0
-            send_failures = Counter()
-            t0 = time.monotonic()
+            lost = Counter()
 
             def send_all(packets):
                 for pkt in packets:
-                    _send(sock, encode_update(pkt), peer_addr, send_failures)
+                    _send(sock, encode_update(pkt), peer_addr, lost)
 
-            try:
-                if duration > 0:
-                    send_all(source.start(0.0))
-                while True:
-                    now = time.monotonic() - t0
-                    if now >= duration or (stop is not None and stop.is_set()):
-                        break
-                    timeout = min(source.deadline(), duration) - now
-                    readable = _wait_readable([sock], timeout)
-                    now = time.monotonic() - t0
-                    for _, data, _ in _drain(readable):
-                        try:
-                            ack = decode_ack(data)
-                        except WireError as exc:
-                            decode_errors += 1
-                            log.debug("undecodable ack datagram: %s", exc)
-                            continue
-                        send_all(source.on_ack(ack, now))
-                    send_all(source.fire(time.monotonic() - t0))
-            except OutOfRange as exc:  # the wire's seq space is used up
-                log.warning("session ended early: %s", exc)
-        write_epoch_log(out, source.epoch_rows)
-        write_ack_log(ack_csv_path(out), source.ack_log)
-        _log_counts(decode_errors, send_failures)
-        if source.violations:
-            log.warning("%d acks for unsent seqs or mismatched gen_ts dropped", source.violations)
+            def on_ack(sock, data, addr, now):
+                send_all(source.on_ack(decode_ack(data), now))
+
+            def finish():
+                write_epoch_log(out, source.epoch_rows)
+                write_ack_log(ack_csv_path(out), source.ack_log)
+                if source.violations:
+                    log.warning("%d acks for unsent seqs or mismatched gen_ts dropped",
+                                source.violations)
+
+            _session([sock], duration, stop, lost, on_ack, deadline=source.deadline,
+                     fire=lambda now: send_all(source.fire(now)),
+                     start=lambda: send_all(source.start(0.0)), finish=finish)
         return 0
     except OSError as exc:
         log.error("source socket failure: %s", exc)
@@ -152,29 +169,19 @@ def run_monitor(listen, duration, out, stop=None):
     try:
         with _bound_socket(listen) as sock:
             monitor = Monitor()
-            decode_errors = 0
-            send_failures = Counter()
-            t0 = time.monotonic()
-            while True:
-                now = time.monotonic() - t0
-                if now >= duration or (stop is not None and stop.is_set()):
-                    break
-                readable = _wait_readable([sock], duration - now)
-                now = time.monotonic() - t0
-                for _, data, addr in _drain(readable):
-                    try:
-                        pkt = decode_update(data)
-                    except WireError as exc:
-                        decode_errors += 1
-                        log.debug("undecodable update datagram: %s", exc)
-                        continue
-                    ack = monitor.on_update(pkt, now)
-                    if ack is not None:
-                        _send(sock, encode_ack(ack), addr, send_failures)
-        write_monitor_log(out, monitor.delivery_log)
-        _log_counts(decode_errors, send_failures)
-        if monitor.discarded:
-            log.info("%d out-of-sequence updates discarded", monitor.discarded)
+            lost = Counter()
+
+            def on_update(sock, data, addr, now):
+                ack = monitor.on_update(decode_update(data), now)
+                if ack is not None:
+                    _send(sock, encode_ack(ack), addr, lost)
+
+            def finish():
+                write_monitor_log(out, monitor.delivery_log)
+                if monitor.discarded:
+                    log.info("%d out-of-sequence updates discarded", monitor.discarded)
+
+            _session([sock], duration, stop, lost, on_update, finish=finish)
         return 0
     except OSError as exc:
         log.error("monitor socket failure: %s", exc)
@@ -201,6 +208,8 @@ class ProxyConfig:
     def __post_init__(self):
         if self.delay < 0:
             raise ValueError("delays must be non-negative")
+        if not self.delay < math.inf:
+            raise ValueError(f"delays must be finite, got {self.delay}")
         if not 0 <= self.loss < 1:
             raise ValueError("loss probability must be in [0, 1)")
         if self.delay_dist not in (CONSTANT, EXPONENTIAL):
@@ -224,56 +233,45 @@ def run_proxy(cfg: ProxyConfig, duration=None, stop=None, stats=None):
             # sock_src faces the source, sock_mon the monitor
             forward_addr = _parse_addr(cfg.forward)
             source_addr = None  # learned from the first forward datagram
-
-            heap = []  # (release_time, counter, direction, (out_sock, out_addr), data)
+            heap = []  # (release_time, counter, direction, out_sock, out_addr, data)
             counter = 0
             last_release = [0.0, 0.0]
-            t0 = time.monotonic()
+            lost = Counter()
 
-            def sample_delay():
-                if cfg.delay_dist == CONSTANT or cfg.delay == 0:
-                    return cfg.delay
-                return rng.expovariate(1.0 / cfg.delay)
+            def on_datagram(sock, data, addr, now):
+                nonlocal source_addr, counter
+                if sock is sock_src:
+                    direction = 0
+                    source_addr = addr
+                    out_sock, out_addr = sock_mon, forward_addr
+                else:
+                    direction = 1
+                    if source_addr is None:
+                        return  # nothing to return to yet
+                    out_sock, out_addr = sock_src, source_addr
+                stats.received[direction] += 1
+                if cfg.loss and rng.random() < cfg.loss:
+                    stats.dropped[direction] += 1
+                    return
+                delay = cfg.delay
+                if cfg.delay_dist == EXPONENTIAL and delay:
+                    delay = rng.expovariate(1.0 / delay)
+                release = now + delay
+                if not cfg.reorder:
+                    release = max(release, last_release[direction])
+                    last_release[direction] = release
+                counter += 1
+                heapq.heappush(heap, (release, counter, direction, out_sock, out_addr, data))
 
-            while True:
-                now = time.monotonic() - t0
-                if stop is not None and stop.is_set():
-                    break
-                if duration is not None and now >= duration:
-                    break
-                timeout = heap[0][0] - now if heap else _POLL
-                if duration is not None:
-                    timeout = min(timeout, duration - now)
-                readable = _wait_readable([sock_src, sock_mon], timeout)
-                now = time.monotonic() - t0
-                for s, data, addr in _drain(readable):
-                    if s is sock_src:
-                        direction = 0
-                        source_addr = addr
-                        out = (sock_mon, forward_addr)
-                    else:
-                        direction = 1
-                        if source_addr is None:
-                            continue  # nothing to return to yet
-                        out = (sock_src, source_addr)
-                    stats.received[direction] += 1
-                    if cfg.loss and rng.random() < cfg.loss:
-                        stats.dropped[direction] += 1
-                        continue
-                    release = now + sample_delay()
-                    if not cfg.reorder:
-                        release = max(release, last_release[direction])
-                        last_release[direction] = release
-                    counter += 1
-                    heapq.heappush(heap, (release, counter, direction, out, data))
-                now = time.monotonic() - t0
+            def release_due(now):
                 while heap and heap[0][0] <= now:
-                    _, _, direction, (out_sock, out_addr), data = heapq.heappop(heap)
-                    try:
-                        out_sock.sendto(data, out_addr)
+                    _, _, direction, out_sock, out_addr, data = heapq.heappop(heap)
+                    if _send(out_sock, data, out_addr, lost):
                         stats.forwarded[direction] += 1
-                    except OSError as exc:
-                        log.warning("proxy send failed: %s", exc)
+
+            _session([sock_src, sock_mon], math.inf if duration is None else duration, stop,
+                     lost, on_datagram, deadline=lambda: heap[0][0] if heap else math.inf,
+                     fire=release_due)
         return 0
     except OSError as exc:
         log.error("proxy socket failure: %s", exc)

@@ -6,6 +6,8 @@ by looking them up by name (`instrument()`), and the live workload swaps
 removes one of them breaks the benchmark without failing any other test.
 This runs `instrument()` around one small simulation, checks that every
 layer it patches was entered, and that `restore()` puts the originals back.
+A short loopback session checks that the live endpoints look up each name
+the benchmark swaps or wraps on `transport` at call time, not at import.
 The stations schedule no events of their own, so the `netsim.station` span
 must stay empty, while `timed_push` still looks up `netsim.StationQueue`.
 `observed_simulation` reads counts from each `run_simulation` result by
@@ -13,6 +15,8 @@ attribute name, so it runs here too.
 """
 
 import sys
+import threading
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -84,3 +88,33 @@ def test_live_workload_names_exist():
     # loopback_session() replaces these two module globals to keep the objects
     assert transport.make_source is endpoints.make_source
     assert transport.Monitor is endpoints.Monitor
+
+
+def test_a_live_session_enters_every_name_the_benchmark_replaces(tmp_path, monkeypatch):
+    # loopback_session() swaps the two factories and instrument() wraps the four codecs
+    names = ("make_source", "Monitor", "encode_update", "decode_update", "encode_ack",
+             "decode_ack")
+    entered = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kw):
+            entered[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(transport, name, counting(name, getattr(transport, name)))
+    port = bench.wl.free_udp_port()
+    peer = (bench.wl.LOOPBACK_HOST, port)
+    stop = threading.Event()
+    monitor = threading.Thread(target=transport.run_monitor,
+                               args=(peer, 10.0, str(tmp_path / "monitor.csv"), stop))
+    monitor.start()
+    try:
+        bench.wl.wait_port_bound(port)
+        assert transport.run_source(peer, "constant:100", 0.3, str(tmp_path / "source.csv")) == 0
+    finally:
+        stop.set()
+        monitor.join(timeout=10.0)
+    assert not monitor.is_alive()
+    assert [name for name in names if not entered[name]] == []

@@ -1,13 +1,19 @@
 import csv
 import json
+import os
 import re
+import select
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
 
 import pytest
 
+import agectl
 from agectl import cli
 from agectl.cli import (
     ExperimentSpec,
@@ -18,8 +24,16 @@ from agectl.cli import (
     main,
     parse_spec,
 )
-from agectl.csvio import write_ack_log, write_epoch_log, write_monitor_log
+from agectl.csvio import (
+    ack_csv_path,
+    read_ack_log,
+    read_monitor_log,
+    write_ack_log,
+    write_epoch_log,
+    write_monitor_log,
+)
 from agectl.netsim import DETERMINISTIC, MultiaccessConfig, StationConfig
+from agectl.wire import UpdatePacket, decode_ack, encode_update
 
 SPEC_TEXT = """
 name = tiny
@@ -483,7 +497,14 @@ def test_report_warmup_frac_outside_zero_to_one_is_a_usage_error(frac, tmp_path,
 @pytest.mark.parametrize("argv, message", [
     (["proxy", "--loss", "1.5"], "proxy: loss probability must be in [0, 1)"),
     (["proxy", "--delay-ms", "-5"], "proxy: delays must be non-negative"),
+    (["proxy", "--delay-ms", "nan"], "proxy: delays must be finite, got nan"),
+    (["proxy", "--delay-ms", "inf"], "proxy: delays must be finite, got inf"),
     (["rtt-curve", "--buffer", "0"], "rtt-curve: finite buffer must hold at least one packet"),
+    (["rtt-curve", "--loads", "nan"], "rtt-curve: loads must be positive, got nan"),
+    (["rtt-curve", "--loads", "100", "0"], "rtt-curve: loads must be positive, got 0.0"),
+    (["rtt-curve", "--rtt-base", "nan"], "rtt-curve: rtt_base must be finite and >= 0, got nan"),
+    (["rtt-curve", "--rtt-base", "inf"], "rtt-curve: rtt_base must be finite and >= 0, got inf"),
+    (["rtt-curve", "--rtt-base", "-1"], "rtt-curve: rtt_base must be finite and >= 0, got -1.0"),
     (["sweep-min-age", "--rates", "0"],
      "sweep-min-age: poisson mode needs a positive rate, e.g. poisson:100, got 'poisson:0.0'"),
     (["sweep-min-age", "--rates", "100", "-3"],
@@ -533,3 +554,62 @@ def test_proxy_prints_its_counters_per_direction(capsys):
         f"proxy forward: received {arrived}, forwarded {arrived}, dropped 0",
         "proxy reverse: received 0, forwarded 0, dropped 0",
     ]
+
+
+def live_command(argv, cwd):
+    """`agectl` with argv in a new Python process, stderr captured."""
+    src = str(Path(agectl.__file__).resolve().parents[1])
+    return subprocess.Popen([sys.executable, "-m", "agectl.cli", *argv], cwd=cwd,
+                            env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True)
+
+
+def test_a_signalled_source_exits_130_or_143_with_its_logs(tmp_path):
+    for signum, status in ((signal.SIGINT, 130), (signal.SIGTERM, 143)):
+        # the updates go to a socket that is bound but never read
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as silent:
+            silent.bind(("127.0.0.1", 0))
+            peer = f"127.0.0.1:{silent.getsockname()[1]}"
+            out = tmp_path / f"src{signum}.csv"
+            source = live_command(["source", "--peer", peer, "--mode", "constant:200",
+                                   "--duration", "30", "--out", str(out)], tmp_path)
+            try:
+                # an update has arrived, so the session runs
+                assert select.select([silent], [], [], 10.0)[0] == [silent]
+                source.send_signal(signum)
+                _, err = source.communicate(timeout=10.0)
+            finally:
+                source.kill()
+            assert (source.returncode, err) == (status, "")
+            assert list(csv.reader(open(out)))[0][0] == "k"
+            assert read_ack_log(ack_csv_path(out)) == []
+
+
+def test_a_signalled_monitor_exits_130_or_143_with_its_logs(tmp_path):
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as client:
+        client.settimeout(0.05)
+        for signum, status in ((signal.SIGINT, 130), (signal.SIGTERM, 143)):
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as free:
+                free.bind(("127.0.0.1", 0))
+                port = free.getsockname()[1]
+            out = tmp_path / f"mon{signum}.csv"
+            monitor = live_command(["monitor", "--listen", f"127.0.0.1:{port}",
+                                    "--duration", "30", "--out", str(out)], tmp_path)
+            acked = []
+            try:
+                deadline = time.monotonic() + 10.0
+                while len(acked) < 3:  # updates sent before the monitor binds are lost
+                    assert time.monotonic() < deadline, "the monitor acknowledged nothing"
+                    seq = len(acked)
+                    client.sendto(encode_update(UpdatePacket(seq=seq, gen_ts=seq)),
+                                  ("127.0.0.1", port))
+                    try:
+                        acked.append(decode_ack(client.recvfrom(2048)[0]).seq)
+                    except socket.timeout:
+                        pass
+                monitor.send_signal(signum)
+                _, err = monitor.communicate(timeout=10.0)
+            finally:
+                monitor.kill()
+            assert (monitor.returncode, err) == (status, "")
+            assert [seq for _, seq, _ in read_monitor_log(out)] == acked == [0, 1, 2]

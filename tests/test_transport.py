@@ -187,6 +187,30 @@ class TestProxy:
             ProxyConfig(listen="a:1", forward="b:2", loss=1.0)
         with pytest.raises(ValueError):
             ProxyConfig(listen="a:1", forward="b:2", delay_dist="gamma")
+        with pytest.raises(ValueError):
+            ProxyConfig(listen="a:1", forward="b:2", delay=math.nan)
+        with pytest.raises(ValueError):
+            ProxyConfig(listen="a:1", forward="b:2", delay=math.inf)
+
+    def test_a_refused_send_is_counted_not_forwarded(self, caplog):
+        listen = free_port()
+        # without SO_BROADCAST the host refuses each send (EACCES) before anything leaves it
+        cfg = ProxyConfig(listen=f"{HOST}:{listen}", forward="255.255.255.255:9", seed=1)
+        stats = ProxyStats()
+        proxy = threading.Thread(target=run_proxy, args=(cfg,),
+                                 kwargs=dict(duration=0.3, stats=stats))
+        with caplog.at_level(logging.WARNING, logger="agectl.transport"), \
+                socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sender:
+            proxy.start()
+            while proxy.is_alive():  # sent before the proxy binds, or after it ends, is lost
+                sender.sendto(b"update", (HOST, listen))
+                time.sleep(0.005)
+            proxy.join()
+        received = stats.received[0]
+        assert received > 0 and stats.forwarded == [0, 0] and stats.dropped == [0, 0]
+        # with no delay, every datagram taken in was released, and refused, before the end
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [
+            f"{received} datagrams not sent ({received} Permission denied)"]
 
 
 class TestLiveEndpoints:
