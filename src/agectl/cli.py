@@ -610,7 +610,8 @@ def main(argv=None):
         status = _until_signalled(run_proxy, cfg, duration=args.duration, stats=stats)
         for d, direction in enumerate(("forward", "reverse")):
             print(f"proxy {direction}: received {stats.received[d]}, "
-                  f"forwarded {stats.forwarded[d]}, dropped {stats.dropped[d]}")
+                  f"forwarded {stats.forwarded[d]}, dropped {stats.dropped[d]}, "
+                  f"unreleased {stats.unreleased[d]}")
         return status
     if args.command == "sweep-min-age":
         return cmd_sweep_min_age(args)

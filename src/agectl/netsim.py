@@ -515,6 +515,8 @@ class _Network:
             heap[k] = (t, prio, n, getattr(fn, "__func__", fn), args)
         if self.channel is not None:
             self.channel.sink = self.channel.tracer = self.channel.on_drop = None
+            # a finished channel draws nothing more: let its streams go
+            self.channel.rngs = self.channel.loss_rngs = None
         # hop rows were written ahead of their time
         self.trace = sorted((row for row in self.trace or () if row[0] <= duration),
                             key=itemgetter(0))

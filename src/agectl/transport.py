@@ -13,6 +13,7 @@ earlier one of the same direction.
 import heapq
 import logging
 import math
+import os
 import random
 import select
 import socket
@@ -39,6 +40,8 @@ EXPONENTIAL = "exponential"
 
 _POLL = 0.05  # upper bound on select timeouts; keeps duration checks timely
 _UNDECODABLE = "undecodable"  # the key of undecodable datagrams among the lost ones
+_PR_SET_TIMERSLACK, _PR_GET_TIMERSLACK = 29, 30  # prctl options, linux/prctl.h
+_TIGHT_SLACK_NS = 1  # the least slack; 0 would reset the thread to its default
 
 
 def _parse_addr(text):
@@ -73,7 +76,50 @@ def _send(sock, data, addr, lost):
         return False
 
 
-def _session(socks, duration, stop, lost, on_datagram, deadline=lambda: math.inf,
+def _set_timer_slack(ns):
+    """Set the calling thread's timer slack to `ns` nanoseconds; returns the old value.
+
+    Linux lets every timed wait of a thread, `select` timeouts included, end
+    up to its timer slack late: 50 µs by default. Where libc has no `prctl`,
+    or it fails, nothing changes and None is returned.
+    """
+    import ctypes  # loaded by the first timed session, not at import
+
+    try:
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+    except (AttributeError, OSError, TypeError) as exc:
+        log.debug("timer slack left as it is: %s", exc)
+        return None
+    prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+    prctl.restype = ctypes.c_int
+    old = prctl(_PR_GET_TIMERSLACK, 0, 0, 0, 0)
+    if old == -1 or prctl(_PR_SET_TIMERSLACK, ns, 0, 0, 0) == -1:
+        log.debug("timer slack left as it is: %s", os.strerror(ctypes.get_errno()))
+        return None
+    return old
+
+
+def _lateness_summary(late):
+    """One line on a histogram of timer lateness, keyed by µs bit length."""
+    due = sum(late.values())
+    if not due:
+        return "timer lateness over 0 due passes"
+
+    def edge(q):  # upper edge of the bucket that holds the q-quantile
+        seen = 0
+        for bucket in sorted(late):
+            seen += late[bucket]
+            if seen >= q * due:
+                return 1 << bucket
+
+    return f"timer lateness over {due} due passes: p50 < {edge(0.5)} us, p99 < {edge(0.99)} us"
+
+
+def _never():
+    return math.inf
+
+
+def _session(socks, duration, stop, lost, on_datagram, deadline=_never,
              fire=lambda now: None, start=lambda: None, finish=lambda: None):
     """The one live session loop, shared by source, monitor and proxy.
 
@@ -84,8 +130,15 @@ def _session(socks, duration, stop, lost, on_datagram, deadline=lambda: math.inf
     at a fresh clock read. `lost` counts undecodable datagrams and, through
     `_send`, refused sends. An update the wire cannot carry ends the session
     early. However it ends, `finish()` runs and each kind of loss is logged.
+
+    A session with a `deadline` is timed: it runs with the calling thread's
+    timer slack at 1 ns, restored at exit, and it logs at exit how late its
+    due passes fired, in power-of-two µs buckets. Nothing wakes early.
     """
     t0 = time.monotonic()
+    timed = deadline is not _never
+    old_slack = _set_timer_slack(_TIGHT_SLACK_NS) if timed else None
+    late = Counter()  # bit length of the whole µs a due pass fired late -> passes
     try:
         if duration > 0:
             start()
@@ -108,10 +161,17 @@ def _session(socks, duration, stop, lost, on_datagram, deadline=lambda: math.inf
                     except WireError as exc:
                         lost[_UNDECODABLE] += 1
                         log.debug("undecodable datagram: %s", exc)
-            fire(time.monotonic() - t0)
+            now = time.monotonic() - t0
+            if timed:
+                due = deadline()
+                if now >= due:
+                    late[int((now - due) * 1e6).bit_length()] += 1
+            fire(now)
     except OutOfRange as exc:  # the wire's seq space is used up
         log.warning("session ended early: %s", exc)
     finally:
+        if old_slack is not None:
+            _set_timer_slack(old_slack)
         finish()
         undecodable = lost.pop(_UNDECODABLE, 0)
         if undecodable:
@@ -119,6 +179,8 @@ def _session(socks, duration, stop, lost, on_datagram, deadline=lambda: math.inf
         if lost:
             reasons = ", ".join(f"{n} {why}" for why, n in sorted(lost.items()))
             log.warning("%d datagrams not sent (%s)", sum(lost.values()), reasons)
+        if timed:
+            log.info("%s", _lateness_summary(late))
 
 
 def run_source(peer, mode, duration, out, payload_bytes=DEFAULT_PAYLOAD_BYTES,
@@ -217,10 +279,18 @@ class ProxyConfig:
 
 
 class ProxyStats:
+    """Per-direction datagram counts (0 = forward, 1 = reverse).
+
+    Each datagram received is forwarded, dropped by the sampled loss, still
+    unreleased when the session ends, or refused by the host on release;
+    the last are the session's lost sends, logged at exit.
+    """
+
     def __init__(self):
-        self.received = [0, 0]  # per direction: 0 = forward, 1 = reverse
+        self.received = [0, 0]
         self.forwarded = [0, 0]
         self.dropped = [0, 0]
+        self.unreleased = [0, 0]  # still held for their delay at exit
 
 
 def run_proxy(cfg: ProxyConfig, duration=None, stop=None, stats=None):
@@ -269,9 +339,13 @@ def run_proxy(cfg: ProxyConfig, duration=None, stop=None, stats=None):
                     if _send(out_sock, data, out_addr, lost):
                         stats.forwarded[direction] += 1
 
+            def finish():
+                for _, _, direction, _, _, _ in heap:
+                    stats.unreleased[direction] += 1
+
             _session([sock_src, sock_mon], math.inf if duration is None else duration, stop,
                      lost, on_datagram, deadline=lambda: heap[0][0] if heap else math.inf,
-                     fire=release_due)
+                     fire=release_due, finish=finish)
         return 0
     except OSError as exc:
         log.error("proxy socket failure: %s", exc)

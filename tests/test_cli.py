@@ -551,8 +551,8 @@ def test_proxy_prints_its_counters_per_direction(capsys):
             arrived += 1
     assert status == [0] and arrived > 0
     assert capsys.readouterr().out.splitlines() == [
-        f"proxy forward: received {arrived}, forwarded {arrived}, dropped 0",
-        "proxy reverse: received 0, forwarded 0, dropped 0",
+        f"proxy forward: received {arrived}, forwarded {arrived}, dropped 0, unreleased 0",
+        "proxy reverse: received 0, forwarded 0, dropped 0, unreleased 0",
     ]
 
 

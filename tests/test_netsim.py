@@ -656,6 +656,16 @@ def test_a_finished_network_is_freed_without_the_collector(protocol, ack_path, c
             gc.enable()
 
 
+def test_a_finished_channel_keeps_no_random_streams():
+    # the streams are most of what a finished crowd network holds, and no reader uses them
+    cfg = SimConfig(stations=(StationConfig(rate=2e6),), n_sources=8, protocol="acp+",
+                    duration=0.5, seed=4,
+                    multiaccess=MultiaccessConfig(link_rate=2e6, slot=1e-4, per_source_loss=0.05))
+    net = run_simulation(cfg)
+    assert net.channel.collisions > 0
+    assert (net.channel.rngs, net.channel.loss_rngs) == (None, None)
+
+
 def test_lazy_sim_backlog_near_one():
     st = StationConfig(service=EXPONENTIAL, rate=6e6, prop_delay=1e-3)
     cfg = SimConfig(stations=(st, st), n_sources=1, protocol="lazy",

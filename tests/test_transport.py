@@ -1,13 +1,19 @@
 import csv
 import logging
 import math
+import os
 import socket
 import statistics
+import subprocess
+import sys
 import threading
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import agectl
 from agectl import transport
 from agectl.csvio import ack_csv_path, read_ack_log, read_monitor_log
 from agectl.transport import ProxyConfig, ProxyStats, run_monitor, run_proxy, run_source
@@ -211,6 +217,162 @@ class TestProxy:
         # with no delay, every datagram taken in was released, and refused, before the end
         assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [
             f"{received} datagrams not sent ({received} Permission denied)"]
+
+    def test_every_datagram_received_is_accounted_for_at_exit(self):
+        # 200 ms each way and a 0.5 s session: datagrams are still held at the end
+        listen, mon_port = free_port(), free_port()
+        cfg = ProxyConfig(listen=f"{HOST}:{listen}", forward=f"{HOST}:{mon_port}",
+                          delay=0.2, loss=0.2, seed=7)
+        stop = threading.Event()
+        monitor = threading.Thread(target=run_monitor,
+                                   args=(f"{HOST}:{mon_port}", 10.0, os.devnull, stop))
+        stats = ProxyStats()
+        proxy = threading.Thread(target=run_proxy, args=(cfg,),
+                                 kwargs=dict(duration=0.5, stats=stats))
+        monitor.start()
+        try:
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sender:
+                proxy.start()
+                seq = 0
+                while proxy.is_alive():  # sent before the proxy binds is lost
+                    sender.sendto(encode_update(UpdatePacket(seq=seq, gen_ts=seq)),
+                                  (HOST, listen))
+                    seq += 1
+                    time.sleep(0.005)
+                proxy.join()
+        finally:
+            stop.set()
+            monitor.join()
+        for d in (0, 1):
+            assert stats.received[d] == (stats.forwarded[d] + stats.dropped[d]
+                                         + stats.unreleased[d]), d
+            assert stats.forwarded[d] > 0 and stats.dropped[d] > 0 and stats.unreleased[d] > 0
+
+
+TIMERSLACK = Path("/proc/self/timerslack_ns")  # the main thread's, where pytest runs tests
+
+
+def timer_slack():
+    return int(TIMERSLACK.read_text())
+
+
+@pytest.mark.skipif(not TIMERSLACK.exists(), reason="no per-thread timer slack here")
+class TestTimerSlack:
+    def test_a_source_runs_with_1_ns_slack_and_restores_it(self, tmp_path, monkeypatch):
+        during = []
+        factory = transport.make_source
+
+        def make_source(*args, **kw):
+            source = factory(*args, **kw)
+            fire = source.fire
+            source.fire = lambda now: during.append(timer_slack()) or fire(now)
+            return source
+
+        monkeypatch.setattr(transport, "make_source", make_source)
+        before = timer_slack()
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as silent:
+            silent.bind((HOST, 0))
+            assert run_source(f"{HOST}:{silent.getsockname()[1]}", "constant:200", 0.2,
+                              str(tmp_path / "src.csv")) == 0
+        assert before != 1 and during and set(during) == {1}
+        assert timer_slack() == before
+
+    def test_a_monitor_leaves_the_slack_as_it_was(self, tmp_path, monkeypatch):
+        during = []
+
+        class Monitor(transport.Monitor):
+            def on_update(self, pkt, now):
+                during.append(timer_slack())
+                return super().on_update(pkt, now)
+
+        monkeypatch.setattr(transport, "Monitor", Monitor)
+        before = timer_slack()
+        port = free_port()
+        done = threading.Event()
+
+        def feed():
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as client:
+                seq = 0
+                while not done.is_set():  # sent before the monitor binds is lost
+                    client.sendto(encode_update(UpdatePacket(seq=seq, gen_ts=seq)), (HOST, port))
+                    seq += 1
+                    time.sleep(0.005)
+
+        feeder = threading.Thread(target=feed)
+        feeder.start()
+        try:
+            assert run_monitor(f"{HOST}:{port}", 0.3, str(tmp_path / "mon.csv")) == 0
+        finally:
+            done.set()
+            feeder.join()
+        assert during and set(during) == {before}
+        assert timer_slack() == before
+
+    def test_without_prctl_a_session_runs_as_before(self, tmp_path, monkeypatch, caplog):
+        import ctypes
+
+        def no_libc(*args, **kw):
+            raise OSError("no libc")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        before = timer_slack()
+        with caplog.at_level(logging.DEBUG, logger="agectl.transport"), \
+                socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as silent:
+            silent.bind((HOST, 0))
+            assert run_source(f"{HOST}:{silent.getsockname()[1]}", "constant:200", 0.1,
+                              str(tmp_path / "src.csv")) == 0
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG] == [
+            "timer slack left as it is: no libc"]
+        assert timer_slack() == before
+
+
+def test_importing_the_cli_and_transport_loads_no_ctypes():
+    # only a timed session needs ctypes; the CLI's start-up does not pay for it
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import agectl.cli, agectl.transport\n"
+             "print(sorted(name for name in set(sys.modules) - before if 'ctypes' in name))\n")
+    src = str(Path(agectl.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
+
+
+def test_timer_lateness_is_logged_once_per_timed_session(tmp_path, monkeypatch, caplog):
+    due = []
+    factory = transport.make_source
+
+    def make_source(*args, **kw):
+        source = factory(*args, **kw)
+        fire = source.fire
+
+        def counting(now):
+            due.append(now >= source.deadline())
+            return fire(now)
+
+        source.fire = counting
+        return source
+
+    monkeypatch.setattr(transport, "make_source", make_source)
+    with caplog.at_level(logging.INFO, logger="agectl.transport"), \
+            socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as silent:
+        silent.bind((HOST, 0))
+        assert run_source(f"{HOST}:{silent.getsockname()[1]}", "constant:200", 0.3,
+                          str(tmp_path / "src.csv")) == 0
+    [line] = [r.getMessage() for r in caplog.records if "timer lateness" in r.getMessage()]
+    passes = sum(due) - 1  # start(0.0) sends the first update through fire, not a pass
+    assert passes >= 10  # about 60 sends in 0.3 s
+    assert line.startswith(f"timer lateness over {passes} due passes: p50 < ")
+
+
+def test_lateness_quantiles_are_bucket_upper_edges():
+    # bucket b holds the lateness of whole µs with bit length b: [2^(b-1), 2^b) µs
+    assert transport._lateness_summary(Counter()) == "timer lateness over 0 due passes"
+    late = Counter({0: 1, 7: 98, 11: 1})
+    assert transport._lateness_summary(late) == (
+        "timer lateness over 100 due passes: p50 < 128 us, p99 < 128 us")
+    late[11] += 1
+    assert transport._lateness_summary(late).endswith("p99 < 2048 us")
 
 
 class TestLiveEndpoints:
