@@ -45,12 +45,12 @@ from .metrics import (
     time_average_age,
 )
 from .netsim import (
+    EXPONENTIAL,
     MultiaccessConfig,
     SimConfig,
     StationConfig,
     rtt_vs_load_curve,
     run_simulation,
-    sweep_min_age,
 )
 from .transport import ProxyConfig, ProxyStats, run_monitor, run_proxy, run_source
 from .wire import DEFAULT_PAYLOAD_BYTES, MAX_PAYLOAD, update_bits
@@ -260,6 +260,15 @@ def summarize_run(result, warmup_frac):
     }
 
 
+def sweep_min_age(base, modes, warmup_frac=DEFAULT_WARMUP_FRAC):
+    """The summarize_run dict of one run of `base` per mode, in order.
+
+    The age-minimizing mode is the one with the least avg_age_ms.
+    """
+    return [summarize_run(run_simulation(dataclasses.replace(base, protocol=mode)), warmup_frac)
+            for mode in modes]
+
+
 def _execute_run(args):
     spec_text, n, proto, rep, run_dir = args
     spec = ExperimentSpec(spec_text)
@@ -438,32 +447,38 @@ def _export_trace(path, trace):
 
 
 def cmd_sweep_min_age(args):
-    mu = args.station_rate_bits / update_bits(args.payload_bytes)
-    rates = args.rates or [round(f * mu, 3) for f in
-                           (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)]
     try:
-        for rate in rates:  # each is a poisson source's rate; check them all before running
-            parse_mode(f"poisson:{rate}")
-        result = sweep_min_age(args.station_rate_bits, rates, args.duration,
-                               seed=args.seed, payload_bytes=args.payload_bytes)
+        mu = args.station_rate_bits / update_bits(args.payload_bytes)
+        rates = args.rates or [round(f * mu, 3) for f in
+                               (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)]
+        modes = [f"poisson:{rate}" for rate in rates]
+        for mode in modes:  # check them all before running any
+            parse_mode(mode)
+        station = StationConfig(service=EXPONENTIAL, rate=args.station_rate_bits)
+        base = SimConfig(stations=(station, station), duration=args.duration, seed=args.seed,
+                         payload_bytes=args.payload_bytes, ack_path="instant")
+        summaries = sweep_min_age(base, modes)
     except ValueError as exc:
         print(f"sweep-min-age: {exc}", file=sys.stderr)
         return 2
-    rows = [(p.rate, f"{p.avg_age:.6f}", f"{p.avg_backlog:.4f}") for p in result.curve]
+    ages = [s["avg_age_ms"] / 1e3 for s in summaries]  # nan: nothing delivered after warm-up
+    rows = [(rate, f"{age:.6f}", f"{s['backlog_avg']:.4f}")
+            for rate, age, s in zip(rates, ages, summaries)]
     if args.out:
         write_rows(args.out, ("rate", "avg_age", "avg_backlog"), rows)
     for r in rows:
         print(*r)
-    print(f"best_rate={result.best_rate} best_age={result.best_age:.6f} "
-          f"backlog_at_best={result.backlog_at_best:.4f}")
+    best = min(range(len(rates)), key=lambda k: (math.isnan(ages[k]), ages[k]))
+    print(f"best_rate={rows[best][0]} best_age={rows[best][1]} "
+          f"backlog_at_best={rows[best][2]}")
     return 0
 
 
 def cmd_rtt_curve(args):
-    bits = update_bits(args.payload_bytes)
-    mu = args.rate_bits / bits
-    loads = args.loads or [round(f * mu, 3) for f in (0.1, 0.3, 0.5, 0.7, 0.9, 1.1)]
     try:
+        bits = update_bits(args.payload_bytes)
+        mu = args.rate_bits / bits
+        loads = args.loads or [round(f * mu, 3) for f in (0.1, 0.3, 0.5, 0.7, 0.9, 1.1)]
         station = StationConfig(service=args.service, rate=args.rate_bits, buffer=args.buffer)
         curve = rtt_vs_load_curve(station, args.rtt_base, loads, mode=args.mode,
                                   packet_bits=bits, packets=args.packets, seed=args.seed)

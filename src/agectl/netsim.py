@@ -35,13 +35,7 @@ from operator import itemgetter
 
 from .endpoints import MODE_POISSON, Monitor, make_source, parse_mode
 from .estimation import DEFAULT_SMOOTHING
-from .metrics import (
-    DEFAULT_WARMUP_FRAC,
-    age_trace_from_deliveries,
-    default_horizon,
-    step_average,
-    time_average_age,
-)
+from .metrics import DEFAULT_WARMUP_FRAC, step_average
 from .wire import ACK_SIZE, DEFAULT_PAYLOAD_BYTES, UpdatePacket, update_bits
 
 # event priorities at equal timestamps: packets move first, then the
@@ -232,12 +226,11 @@ class MultiaccessChannel:
     """
 
     def __init__(self, evq, cfg: MultiaccessConfig, n_sources, seed, frame_bits, sink,
-                 tracer=None, on_drop=None, horizon=math.inf):
+                 on_drop=None, horizon=math.inf):
         self.evq = evq
         self.cfg = cfg
         self.frame_time = frame_bits / cfg.link_rate
         self.sink = sink  # sink(src, pkt, end_time) on successful (and not lost) transmission
-        self.tracer = tracer
         self.on_drop = on_drop
         self.horizon = horizon
         self.queues = [deque() for _ in range(n_sources)]
@@ -262,8 +255,6 @@ class MultiaccessChannel:
         q = self.queues[src]
         fresh = not q
         q.append((pkt, now))
-        if self.tracer:
-            self.tracer(now, ENQUEUED, src, pkt)
         if not fresh:
             return  # not head of line yet; it waits when it gets there
         if now >= self.busy_until and not self.slots:
@@ -408,8 +399,7 @@ class _Network:
         if cfg.multiaccess is not None:
             self.channel = MultiaccessChannel(
                 self.evq, cfg.multiaccess, cfg.n_sources, seed, self.update_bits,
-                sink=self._forward, tracer=self._record if cfg.record_trace else None,
-                on_drop=self._drop_update, horizon=cfg.duration,
+                sink=self._forward, on_drop=self._drop_update, horizon=cfg.duration,
             )
 
         # reverse, for ACKs: stations reversed, then the downlink; None is instant
@@ -451,6 +441,7 @@ class _Network:
         now = self.evq.now
         self._record(now, GENERATED, src, pkt)
         if self.channel is not None:
+            self._record(now, ENQUEUED, src, pkt)
             self.channel.accept(src, pkt)
         else:
             self._forward(src, pkt, now)
@@ -514,7 +505,7 @@ class _Network:
         for k, (t, prio, n, fn, args) in enumerate(heap):
             heap[k] = (t, prio, n, getattr(fn, "__func__", fn), args)
         if self.channel is not None:
-            self.channel.sink = self.channel.tracer = self.channel.on_drop = None
+            self.channel.sink = self.channel.on_drop = None
             # a finished channel draws nothing more: let its streams go
             self.channel.rngs = self.channel.loss_rngs = None
         # hop rows were written ahead of their time
@@ -615,60 +606,3 @@ def rtt_vs_load_curve(station_cfg, rtt_base, loads, mode="analytic",
         out.append((load, rtt))
     return out
 
-
-# -- constant-rate sweep for the age-minimizing operating point
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    rate: float
-    avg_age: float
-    avg_backlog: float
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    best_rate: float
-    best_age: float
-    backlog_at_best: float
-    curve: tuple
-
-
-def sweep_min_age(station_rate_bits, rates, duration, seed=0,
-                  payload_bytes=DEFAULT_PAYLOAD_BYTES, stations=2):
-    """Find the update rate minimizing age over an exponential tandem.
-
-    Each candidate rate runs one memoryless (Poisson) source over
-    `stations` equal-rate exponential-service stations with an
-    instantaneous ACK path; with zero propagation the source backlog
-    equals the number of updates inside the tandem, so the sweep reports
-    the system occupancy at the best rate.
-    """
-    curve = []
-    for i, rate in enumerate(rates):
-        cfg = SimConfig(
-            stations=tuple(
-                StationConfig(service=EXPONENTIAL, rate=station_rate_bits)
-                for _ in range(stations)
-            ),
-            n_sources=1,
-            protocol=f"poisson:{rate}",
-            duration=duration,
-            seed=seed,
-            payload_bytes=payload_bytes,
-            ack_path="instant",
-        )
-        result = run_simulation(cfg)
-        horizon = default_horizon(0.0, duration)
-        deliveries = [(r, g) for r, _, g in result.delivery_rows(0)]
-        trace = age_trace_from_deliveries(deliveries, horizon)
-        age = time_average_age(trace, horizon)
-        backlog = result.backlog_average(0, horizon)
-        curve.append(SweepPoint(rate=rate, avg_age=age, avg_backlog=backlog))
-    best = min(curve, key=lambda p: p.avg_age)
-    return SweepResult(
-        best_rate=best.rate,
-        best_age=best.avg_age,
-        backlog_at_best=best.avg_backlog,
-        curve=tuple(curve),
-    )

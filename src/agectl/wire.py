@@ -33,6 +33,8 @@ DEFAULT_PAYLOAD_BYTES = 1024
 
 def update_bits(payload_bytes: int) -> int:
     """Size in bits of an update datagram carrying `payload_bytes` of payload."""
+    if payload_bytes < 0:
+        raise ValueError(f"payload_bytes must be >= 0, got {payload_bytes}")
     return 8 * (UPDATE_HEADER_SIZE + payload_bytes)
 
 

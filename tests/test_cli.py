@@ -23,6 +23,7 @@ from agectl.cli import (
     cmd_simulate,
     main,
     parse_spec,
+    sweep_min_age,
 )
 from agectl.csvio import (
     ack_csv_path,
@@ -32,7 +33,7 @@ from agectl.csvio import (
     write_epoch_log,
     write_monitor_log,
 )
-from agectl.netsim import DETERMINISTIC, MultiaccessConfig, StationConfig
+from agectl.netsim import DETERMINISTIC, EXPONENTIAL, MultiaccessConfig, SimConfig, StationConfig
 from agectl.wire import UpdatePacket, decode_ack, encode_update
 
 SPEC_TEXT = """
@@ -320,6 +321,41 @@ def test_simulate_survives_lost_first_updates(tmp_path, monkeypatch):
     assert all(float(r["avg_age_ms"]) > 0 for r in rows)
 
 
+PACKET_BITS = 8 * (19 + 1024)
+
+
+def sweep_ages(stations, rates, duration, seed):
+    """{rate: avg_age_ms} of poisson sources over exponential stations with instant ACKs."""
+    station = StationConfig(service=EXPONENTIAL, rate=1000.0 * PACKET_BITS)
+    base = SimConfig(stations=(station,) * stations, duration=duration, seed=seed,
+                     ack_path="instant")
+    curve = sweep_min_age(base, [f"poisson:{r}" for r in rates])
+    return {r: s["avg_age_ms"] for r, s in zip(rates, curve)}
+
+
+class TestSweep:
+    def test_single_station_age_curve_is_u_shaped(self):
+        mu = 1000.0
+        rates = [0.1 * mu, 0.3 * mu, 0.5 * mu, 0.7 * mu, 0.95 * mu]
+        ages = sweep_ages(1, rates, 30.0, seed=2)
+        best_rate = min(ages, key=ages.get)
+        assert ages[0.1 * mu] > ages[best_rate]
+        assert ages[0.95 * mu] > ages[best_rate]
+        assert best_rate not in (0.1 * mu, 0.95 * mu)
+
+    def test_starvation_limit_age_blows_up(self):
+        ages = sweep_ages(2, [1.0, 500.0], 30.0, seed=4)
+        assert ages[1.0] > 50 * ages[500.0]
+
+
+def test_sweep_never_picks_a_rate_with_nothing_delivered_after_the_warm_up(capsys):
+    # poisson:0.01 delivers its t = 0 update and, at this seed, nothing more in 5 s
+    assert main(["sweep-min-age", "--duration", "5", "--rates", "0.01", "200"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "0.01 nan 0.0000"
+    assert lines[-1].startswith("best_rate=200.0 ")
+
+
 def test_report_empty_directory_fails(tmp_path):
     assert cmd_report(str(tmp_path)) == 1
 
@@ -509,6 +545,12 @@ def test_report_warmup_frac_outside_zero_to_one_is_a_usage_error(frac, tmp_path,
      "sweep-min-age: poisson mode needs a positive rate, e.g. poisson:100, got 'poisson:0.0'"),
     (["sweep-min-age", "--rates", "100", "-3"],
      "sweep-min-age: poisson mode needs a positive rate, e.g. poisson:100, got 'poisson:-3.0'"),
+    (["sweep-min-age", "--payload-bytes", "-19"],
+     "sweep-min-age: payload_bytes must be >= 0, got -19"),
+    (["sweep-min-age", "--payload-bytes", "-100"],
+     "sweep-min-age: payload_bytes must be >= 0, got -100"),
+    (["rtt-curve", "--payload-bytes", "-19"], "rtt-curve: payload_bytes must be >= 0, got -19"),
+    (["rtt-curve", "--payload-bytes", "-100"], "rtt-curve: payload_bytes must be >= 0, got -100"),
     (["source", "--payload-bytes", "-1"], "source: payload_bytes must be in [0, 65488], got -1"),
     (["source", "--payload-bytes", "70000"],
      "source: payload_bytes must be in [0, 65488], got 70000"),

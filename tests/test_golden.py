@@ -5,11 +5,14 @@ crowded enough to collide, ahead of an exponential station whose small
 buffer drops updates. `golden_simulate.sha256` (sha256sum format) holds
 the expected digest of every file in the output tree. A change that is
 meant to move an output must say why and regenerate that file with
-`sha256sum` over a fresh output tree.
+`sha256sum` over a fresh output tree. The tree must not depend on whether
+the runs share one process or spread over a process pool.
 """
 
 import hashlib
 from pathlib import Path
+
+import pytest
 
 from agectl import cli
 
@@ -45,24 +48,27 @@ prop_delay = 0.001
 """
 
 
-def test_simulate_outputs_match_golden(tmp_path, monkeypatch):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_simulate_outputs_match_golden(jobs, tmp_path, monkeypatch):
     results = []
-    run_simulation = cli.run_simulation
+    if jobs == 1:  # the runs stay in this process, where they can be kept
+        run_simulation = cli.run_simulation
 
-    def keep(cfg):
-        results.append(run_simulation(cfg))
-        return results[-1]
+        def keep(cfg):
+            results.append(run_simulation(cfg))
+            return results[-1]
 
-    monkeypatch.setattr(cli, "run_simulation", keep)
+        monkeypatch.setattr(cli, "run_simulation", keep)
     spec = tmp_path / "spec.txt"
     spec.write_text(SPEC)
-    assert cli.cmd_simulate(str(spec), str(tmp_path / "runs")) == 0
+    assert cli.cmd_simulate(str(spec), str(tmp_path / "runs"), jobs=jobs) == 0
 
-    # every protocol went through collisions and station drops
-    assert [r.cfg.protocol for r in results] == ["acp+", "lazy", "poisson:40"]
-    for r in results:
-        assert r.channel.collisions > 0
-        assert sum(r.dropped) > r.channel.lost
+    if jobs == 1:
+        # every protocol went through collisions and station drops
+        assert [r.cfg.protocol for r in results] == ["acp+", "lazy", "poisson:40"]
+        for r in results:
+            assert r.channel.collisions > 0
+            assert sum(r.dropped) > r.channel.lost
 
     top = tmp_path / "runs" / "golden"
     got = {p.relative_to(top).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()

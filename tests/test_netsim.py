@@ -37,7 +37,6 @@ from agectl.netsim import (
     rtt_vs_load_curve,
     run_simulation,
     simulate_station_system_time,
-    sweep_min_age,
 )
 from agectl.wire import UpdatePacket
 
@@ -573,24 +572,6 @@ class TestMD1AgeOracle:
         exact = (1 / (2 * (1 - rho)) + 0.5 + (1 - rho) * math.exp(rho) / rho) / 1000.0
         measured = single_source_age(DETERMINISTIC, rho, seed=1, duration=200.0)
         assert measured == pytest.approx(exact, rel=rel_tol)
-
-
-class TestSweep:
-    def test_single_station_age_curve_is_u_shaped(self):
-        mu = 1000.0
-        rates = [0.1 * mu, 0.3 * mu, 0.5 * mu, 0.7 * mu, 0.95 * mu]
-        result = sweep_min_age(mu * PACKET_BITS, rates, duration=30.0, seed=2,
-                               stations=1)
-        ages = {p.rate: p.avg_age for p in result.curve}
-        assert ages[0.1 * mu] > result.best_age
-        assert ages[0.95 * mu] > result.best_age
-        assert result.best_rate not in (0.1 * mu, 0.95 * mu)
-
-    def test_starvation_limit_age_blows_up(self):
-        mu = 1000.0
-        result = sweep_min_age(mu * PACKET_BITS, [1.0, 500.0], duration=30.0, seed=4)
-        ages = {p.rate: p.avg_age for p in result.curve}
-        assert ages[1.0] > 50 * ages[500.0]
 
 
 # _timer_fire pushes on the run below under the previous design, which
