@@ -15,11 +15,16 @@ Backlog is the set of updates sent but not yet acknowledged or superseded.
 An in-sequence ACK for seq n clears everything up to n: the monitor
 discards out-of-sequence arrivals, so an older in-flight update can never
 contribute to freshness once n is acknowledged.
+
+The delivery, ACK and backlog logs are RowLogs: one typed array per
+column, so a row costs its raw numbers rather than a tuple of boxed ones.
 """
 
+import functools
 import logging
 import math
 import random
+from array import array
 from collections import deque
 
 from .controller import control_step, epoch_length, update_lambda
@@ -36,13 +41,91 @@ MODE_POISSON = "poisson"
 BOOTSTRAP_RATE = 1.0  # acp+ updates/s until the first RTT sample exists
 INITIAL_TIMEOUT = 1.0  # lazy resend guard before any RTT estimate
 
+# column types: 'd' for times and RTTs; 'Q' (64-bit unsigned) holds any seq
+# or gen_ts the wire carries, and any backlog
+TIME, COUNT = "d", "Q"
+
+
+class RowLog:
+    """Append-only log of numeric triples, kept as one typed array per column.
+
+    It reads back like the list of tuples it replaces: len, iteration, int
+    indexing, `[i:]` slices (as lists), `==` against a list of tuples and
+    that list's repr. Doubles and ints round-trip exactly, so every reader
+    of the list reads the same numbers. A value a column cannot hold (a
+    float seq, a negative count) raises TypeError or OverflowError from
+    append and leaves the log as it was.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, *typecodes):
+        self.columns = tuple(array(code) for code in typecodes)
+
+    def append(self, row):
+        a, b, c = self.columns
+        x, y, z = row
+        try:
+            a.append(x)
+            b.append(y)
+            c.append(z)
+        except (TypeError, OverflowError):
+            self._drop_partial_row()
+            raise
+
+    def _drop_partial_row(self):
+        rows = min(map(len, self.columns))
+        for column in self.columns:
+            del column[rows:]
+
+    def __len__(self):
+        return len(self.columns[0])
+
+    def __iter__(self):
+        return zip(*self.columns)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(zip(*(column[index] for column in self.columns)))
+        return tuple(column[index] for column in self.columns)
+
+    def __eq__(self, other):
+        if isinstance(other, (list, RowLog)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self):
+        return repr(list(self))
+
+
+class PairLog(RowLog):
+    """A RowLog of pairs."""
+
+    __slots__ = ()
+
+    def append(self, row):
+        a, b = self.columns
+        x, y = row
+        try:
+            a.append(x)
+            b.append(y)
+        except (TypeError, OverflowError):
+            self._drop_partial_row()
+            raise
+
+
+@functools.lru_cache(maxsize=1)  # a run uses one size, so the last one is the one in use
+def zero_payload(payload_bytes: int) -> bytes:
+    """An all-zero payload of this size; bytes are immutable, so every update shares it."""
+    return bytes(payload_bytes)
+
 
 class Monitor:
     """Receives updates, discards stale ones, acknowledges the rest."""
 
     def __init__(self):
         self.highest_seq_received = None
-        self.delivery_log = []  # (receive_time, seq, gen_ts_ns)
+        self.delivery_log = RowLog(TIME, COUNT, COUNT)  # (receive_time, seq, gen_ts_ns)
         self.discarded = 0
 
     def on_update(self, pkt: UpdatePacket, now: float):
@@ -50,8 +133,8 @@ class Monitor:
         if self.highest_seq_received is not None and pkt.seq <= self.highest_seq_received:
             self.discarded += 1
             return None
-        self.highest_seq_received = pkt.seq
         self.delivery_log.append((now, pkt.seq, pkt.gen_ts))
+        self.highest_seq_received = pkt.seq
         return AckPacket(seq=pkt.seq, gen_ts=pkt.gen_ts)
 
 
@@ -59,13 +142,13 @@ class SourceBase:
     """Shared bookkeeping: sequence space, backlog, estimates, logs."""
 
     def __init__(self, payload_bytes=DEFAULT_PAYLOAD_BYTES, alpha=DEFAULT_SMOOTHING):
-        self.payload = bytes(payload_bytes)  # immutable, so every update shares it
+        self.payload = zero_payload(payload_bytes)
         self.next_seq = 0
         self.outstanding = deque()  # (seq, gen_ts_ns), consecutive ascending seqs
         self.highest_acked_seq = None
         self.estimator = NetworkEstimator(alpha)
-        self.backlog_trace = []  # (time, backlog) over the whole session
-        self.ack_log = []  # (ack_time, seq, rtt_seconds)
+        self.backlog_trace = PairLog(TIME, COUNT)  # (time, backlog) over the whole session
+        self.ack_log = RowLog(TIME, COUNT, TIME)  # (ack_time, seq, rtt_seconds)
         self.epoch_rows = []
         self.violations = 0
         self.discarded_acks = 0

@@ -75,10 +75,12 @@ class EpochWindow:
     The epoch's ACKs are `ack_log[first_ack:]`, (ack_time, seq, rtt) rows.
     Its backlog steps are `backlog_trace[first_step:]`, (time, backlog) rows
     from one at or before `epoch_start` on; the backlog is 0 before the
-    first row. The instantaneous age estimate resets to the ACK's
-    round-trip sample at each ACK arrival and grows at slope one in
-    between. `anchor_time` / `anchor_age` pin the trajectory carried in
-    from before this window (at session start: zero age at the first send).
+    first row. Either log may be a list or an endpoints.RowLog: the window
+    reads only len, int indexing and `[i:]` slices. The instantaneous age
+    estimate resets to the ACK's round-trip sample at each ACK arrival and
+    grows at slope one in between. `anchor_time` / `anchor_age` pin the
+    trajectory carried in from before this window (at session start: zero
+    age at the first send).
     """
 
     ack_log: list = field(repr=False)

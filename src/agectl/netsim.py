@@ -90,10 +90,14 @@ class StationConfig:
             raise ValueError(f"unknown service kind {self.service!r}")
         if not self.rate > 0:  # `not x > 0` rejects NaN too, as the checks below do
             raise ValueError("station rate must be positive")
+        if self.rate == math.inf:
+            raise ValueError("station rate must be finite")
         if self.buffer is not None and self.buffer < 1:
             raise ValueError("finite buffer must hold at least one packet")
         if not self.prop_delay >= 0:
             raise ValueError("propagation delay must be non-negative")
+        if self.prop_delay == math.inf:
+            raise ValueError("propagation delay must be finite")
 
 
 @dataclass(frozen=True)
@@ -109,10 +113,16 @@ class MultiaccessConfig:
     def __post_init__(self):
         if not self.link_rate > 0:
             raise ValueError("link_rate must be positive")
+        if self.link_rate == math.inf:
+            raise ValueError("link_rate must be finite")
         if not 0 < self.persistence <= 1:
             raise ValueError("persistence must be in (0, 1]")
         if not self.slot > 0:
             raise ValueError("slot must be positive")
+        if self.slot == math.inf:
+            raise ValueError("slot must be finite")
+        if not isinstance(self.max_backoff_exp, int):
+            raise ValueError(f"max_backoff_exp must be an int, got {self.max_backoff_exp!r}")
         if self.max_backoff_exp < 0:
             raise ValueError("max_backoff_exp must be >= 0")
         if not 0 <= self.per_source_loss < 1:

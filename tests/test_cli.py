@@ -194,6 +194,13 @@ class TestSpecKeys:
      "[multiaccess]: slot must be positive"),
     (TestSpecKeys.MINIMAL.replace("slot = 1e-4", "link_rate = nan"),
      "[multiaccess]: link_rate must be positive"),
+    (TestSpecKeys.MINIMAL.replace("6e6", "inf"), "[station 1]: station rate must be finite"),
+    (TestSpecKeys.MINIMAL + "prop_delay = inf\n",
+     "[station 1]: propagation delay must be finite"),
+    (TestSpecKeys.MINIMAL.replace("slot = 1e-4", "slot = inf"),
+     "[multiaccess]: slot must be finite"),
+    (TestSpecKeys.MINIMAL.replace("slot = 1e-4", "link_rate = inf"),
+     "[multiaccess]: link_rate must be finite"),
 ])
 def test_simulate_reports_a_bad_spec_in_one_line(tmp_path, capsys, text, message):
     spec = tmp_path / "bad.spec"

@@ -13,9 +13,12 @@ from agectl.endpoints import (
     ConstantSource,
     LazySource,
     Monitor,
+    PairLog,
+    RowLog,
     make_source,
     parse_mode,
 )
+from agectl.estimation import EpochWindow
 from agectl.wire import AckPacket, UpdatePacket
 
 
@@ -311,6 +314,103 @@ def test_updates_of_one_source_share_one_payload(mode):
     first, second = sent[:2]
     assert first.seq != second.seq
     assert first.payload is second.payload and first.payload == bytes(100)
+
+
+def test_sources_of_one_payload_size_share_one_payload():
+    payloads = [make_source(mode, payload_bytes=100).payload
+                for mode in ("constant:10", "poisson:10", "lazy", "acp+")]
+    assert all(p is payloads[0] for p in payloads) and payloads[0] == bytes(100)
+    assert make_source("lazy", payload_bytes=101).payload == bytes(101)
+
+
+SEQ_MAX, GEN_TS_MAX = 2**32 - 1, 2**64 - 1  # the largest seq and gen_ts the wire carries
+
+
+class TestRowLog:
+    ROWS = [(0.25, 0, 7), (0.5, 3, 9), (1.0 / 3.0, SEQ_MAX, GEN_TS_MAX)]
+
+    def log(self, rows=ROWS):
+        log = RowLog("d", "Q", "Q")
+        for row in rows:
+            log.append(row)
+        return log
+
+    def test_monitor_keeps_the_wire_extremes_exactly(self):
+        mon = Monitor()
+        mon.on_update(UpdatePacket(seq=SEQ_MAX, gen_ts=GEN_TS_MAX), 0.1)
+        assert mon.delivery_log == [(0.1, SEQ_MAX, GEN_TS_MAX)]
+        (row,) = mon.delivery_log
+        assert [type(v) for v in row] == [float, int, int]
+
+    def test_source_logs_keep_the_largest_seq_exactly(self):
+        src = ConstantSource(rate=10.0)
+        src.next_seq = SEQ_MAX
+        (pkt,) = src.start(0.5)
+        src.on_ack(ack_for(pkt), 0.75)
+        ((ack_time, seq, rtt),) = src.ack_log
+        assert (ack_time, seq) == (0.75, SEQ_MAX) and rtt == 0.75 - pkt.gen_ts / 1e9
+        assert [type(v) for v in src.ack_log[0]] == [float, int, float]
+        assert src.backlog_trace == [(0.5, 1), (0.75, 0)]
+        assert [type(v) for v in src.backlog_trace[-1]] == [float, int]
+
+    def test_reads_back_like_the_list_of_tuples(self):
+        log, rows = self.log(), list(self.ROWS)
+        assert len(log) == 3 and list(log) == rows and log == rows and rows == log
+        assert repr(log) == repr(rows) and repr(RowLog("d", "Q", "d")) == "[]"
+        assert log != rows[:2] and log != rows + [(2.0, 4, 4)] and log != tuple(rows)
+        assert log == self.log() and log != self.log(rows[:2])
+        assert log[0] == rows[0] and log[-1] == rows[-1] and log[-2] == rows[-2]
+        for i in range(-4, 5):
+            assert log[i:] == rows[i:]
+        with pytest.raises(IndexError):
+            RowLog("d", "Q", "d")[-1]
+
+    def test_pairs(self):
+        log = PairLog("d", "Q")
+        for row in [(0.0, 1), (0.5, 2), (0.75, 0)]:
+            log.append(row)
+        assert log == [(0.0, 1), (0.5, 2), (0.75, 0)] and log[1:] == [(0.5, 2), (0.75, 0)]
+        assert repr(log) == repr([(0.0, 1), (0.5, 2), (0.75, 0)])
+
+    @pytest.mark.parametrize("row, pair, error", [
+        ((2.0, 1.5, 3), (2.0, 1.5), TypeError),
+        ((2.0, 1, -1), (2.0, -1), OverflowError),
+        ((2.0, 1, 2**64), (2.0, 2**64), OverflowError),
+        (("2.0", 1, 1), ("2.0", 1), TypeError),
+    ])
+    def test_a_value_its_column_cannot_hold_leaves_the_log_as_it_was(self, row, pair, error):
+        log = self.log()
+        with pytest.raises(error):
+            log.append(row)
+        assert log == self.ROWS and [len(c) for c in log.columns] == [3, 3, 3]
+        pairs = PairLog("d", "Q")
+        pairs.append((1.0, 2))
+        with pytest.raises(error):
+            pairs.append(pair)
+        assert pairs == [(1.0, 2)] and [len(c) for c in pairs.columns] == [1, 1]
+
+    def test_epoch_window_reads_a_row_log_as_it_reads_a_list(self):
+        rng = random.Random(3)
+        acks, steps, t = [], [(0.0, 1)], 0.0
+        for seq in range(200):
+            t += rng.expovariate(50.0)
+            acks.append((t, seq, rng.uniform(0.01, 0.05)))
+            steps.append((t, rng.randrange(5)))
+        ack_log, backlog_trace = RowLog("d", "Q", "d"), PairLog("d", "Q")
+        for row in acks:
+            ack_log.append(row)
+        for row in steps:
+            backlog_trace.append(row)
+        for start in (0.0, 0.5, 1.25, 2.0):
+            first_ack = sum(1 for row in acks if row[0] <= start)
+            first_step = max(sum(1 for row in steps if row[0] <= start) - 1, 0)
+            anchor = acks[first_ack - 1] if first_ack else (0.0, 0, 0.0)
+            windows = [EpochWindow(*logs, start, anchor[0], anchor[2], first_ack, first_step)
+                       for logs in ((acks, steps), (ack_log, backlog_trace))]
+            averages = [(w.age_average(start + 0.5), w.backlog_average(start + 0.5))
+                        for w in windows]
+            assert averages[0] == averages[1]
+            assert repr(windows[0].roll(start + 0.5)) == repr(windows[1].roll(start + 0.5))
 
 
 def test_parse_mode():

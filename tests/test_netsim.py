@@ -2,8 +2,10 @@ import gc
 import math
 import os
 import random
+import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -647,6 +649,33 @@ def test_a_finished_channel_keeps_no_random_streams():
     assert (net.channel.rngs, net.channel.loss_rngs) == (None, None)
 
 
+# A finished acp+ run of this config logs 8,286 rows and holds 43 B of memory
+# per row; with the logs kept as lists of tuples it held 124 B per row.
+RETAINED_BYTES_PER_ROW = 60
+
+
+@pytest.mark.skipif(tracemalloc.is_tracing(), reason="tracemalloc is already tracing")
+def test_a_finished_network_holds_few_bytes_per_logged_row():
+    # the criterion-6 channel and stations, with 12 sources for 4 s
+    station = StationConfig(service=DETERMINISTIC, rate=6e6, buffer=100, prop_delay=0.002)
+    channel = MultiaccessConfig(link_rate=12e6, slot=2.5e-4, persistence=0.25,
+                                max_backoff_exp=5, per_source_loss=0.01)
+    cfg = SimConfig(stations=(station, station), n_sources=12, protocol="acp+", duration=4.0,
+                    seed=1, multiaccess=channel)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        net = run_simulation(cfg)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    rows = sum(len(m.delivery_log) + len(s.ack_log) + len(s.backlog_trace)
+               for m, s in zip(net.monitors, net.sources))
+    assert rows > 8000
+    assert held / rows < RETAINED_BYTES_PER_ROW
+
+
 def test_lazy_sim_backlog_near_one():
     st = StationConfig(service=EXPONENTIAL, rate=6e6, prop_delay=1e-3)
     cfg = SimConfig(stations=(st, st), n_sources=1, protocol="lazy",
@@ -722,6 +751,16 @@ def test_config_validation():
     for rate in (0.0, -12e6):
         with pytest.raises(ValueError, match="link_rate must be positive"):
             MultiaccessConfig(link_rate=rate)
+    with pytest.raises(ValueError, match="link_rate must be finite"):
+        MultiaccessConfig(link_rate=math.inf)
+    with pytest.raises(ValueError, match="slot must be finite"):
+        MultiaccessConfig(slot=math.inf)
+    with pytest.raises(ValueError, match=re.escape("max_backoff_exp must be an int, got 2.5")):
+        MultiaccessConfig(max_backoff_exp=2.5)
+    with pytest.raises(ValueError, match="station rate must be finite"):
+        StationConfig(rate=math.inf)
+    with pytest.raises(ValueError, match="propagation delay must be finite"):
+        StationConfig(rate=1e6, prop_delay=math.inf)
     stuck = MultiaccessConfig(persistence=1.0, max_backoff_exp=0)
     SimConfig(stations=(st,), multiaccess=stuck)  # a lone source never collides
     with pytest.raises(ValueError, match="colliders collide for ever"):
