@@ -28,7 +28,7 @@ from array import array
 from collections import deque
 
 from .controller import control_step, epoch_length, update_lambda
-from .estimation import DEFAULT_SMOOTHING, EpochWindow, NetworkEstimator, NoSamples
+from .estimation import DEFAULT_SMOOTHING, EpochWindow, NetworkEstimator
 from .wire import DEFAULT_PAYLOAD_BYTES, AckPacket, UpdatePacket
 
 log = logging.getLogger(__name__)
@@ -152,7 +152,6 @@ class SourceBase:
         self.epoch_rows = []
         self.violations = 0
         self.discarded_acks = 0
-        self.first_send_time = None
         self.next_send_time = math.inf
 
     @property
@@ -179,14 +178,8 @@ class SourceBase:
         raise NotImplementedError
 
     def _emit(self, now: float) -> UpdatePacket:
-        pkt = UpdatePacket(
-            seq=self.next_seq,
-            gen_ts=round(now * 1e9),
-            payload=self.payload,
-        )
+        pkt = UpdatePacket(seq=self.next_seq, gen_ts=round(now * 1e9), payload=self.payload)
         self.next_seq += 1
-        if self.first_send_time is None:
-            self.first_send_time = now
         self.outstanding.append((pkt.seq, pkt.gen_ts))
         self.backlog_trace.append((now, len(self.outstanding)))
         return pkt
@@ -279,21 +272,16 @@ class AcpPlusSource(SourceBase):
         self.next_epoch_time = math.inf
 
     def start(self, now: float) -> list:
-        self._open_epochs(now, anchor_time=now)
+        self._open_epochs(now)
         return [self._emit(now)]
 
-    def _open_epochs(self, now, anchor_time):
-        """Restart control at the current rate, with the first epoch starting now.
-
-        This happens at start() and at the first ACK, so the first window
-        reads both logs from their first row, that ACK included.
-        """
+    def _open_epochs(self, now):
+        """Restart control at the current rate from now: at start() and at the first ACK."""
         self.epoch_index = 0
         self.flag = False  # set by a backlog-up/age-up epoch, cleared by INC or a plain DEC
         self.gamma = 0  # MDEC escalation level
-        self.prev_age_avg = None
-        self.prev_backlog_avg = None
-        self.epoch_window = EpochWindow(self.ack_log, self.backlog_trace, now, anchor_time, 0.0)
+        self.prev_age_avg = self.prev_backlog_avg = None
+        self.epoch_window = EpochWindow(now)
         self.next_send_time = now + 1.0 / self.rate
         self.next_epoch_time = now + epoch_length(self.rate)
 
@@ -311,23 +299,27 @@ class AcpPlusSource(SourceBase):
             else:
                 return out
 
+    def _emit(self, now):
+        pkt = super()._emit(now)
+        self.epoch_window.step(now, len(self.outstanding))
+        return pkt
+
     def _after_ack(self, now, rtt):
         if self.in_bootstrap:
             # first RTT sample: adopt one update per round trip and start
             # epoch accounting from here
             self.in_bootstrap = False
             self.rate = 1.0 / self.estimator.rtt_bar
-            self._open_epochs(now, anchor_time=self.first_send_time)
+            self._open_epochs(now)
+        self.epoch_window.ack(now, rtt, len(self.outstanding))
         return []
 
     def _close_epoch(self, now):
-        try:
-            age_avg = self.epoch_window.age_average(now)
-            backlog_avg = self.epoch_window.backlog_average(now)
-        except NoSamples:
-            # stalled epoch: reuse the previous averages so control keeps acting
-            age_avg = self.prev_age_avg
-            backlog_avg = self.prev_backlog_avg
+        window = self.epoch_window
+        if window.acks:
+            age_avg, backlog_avg = window.age_average(now), window.backlog_average(now)
+        else:  # stalled epoch: reuse the previous averages so control keeps acting
+            age_avg, backlog_avg = self.prev_age_avg, self.prev_backlog_avg
 
         if age_avg is None or not self.estimator.ready:
             action, b_star, b_k, delta_k = "hold", 0.0, 0.0, 0.0
@@ -342,9 +334,8 @@ class AcpPlusSource(SourceBase):
                                       b_star)
             self.next_send_time = now + 1.0 / self.rate
 
-        self.prev_age_avg = age_avg
-        self.prev_backlog_avg = backlog_avg
-        self.epoch_window = self.epoch_window.roll(now)
+        self.prev_age_avg, self.prev_backlog_avg = age_avg, backlog_avg
+        window.roll(now)
         self.next_epoch_time = now + epoch_length(self.rate)
         self.epoch_rows.append((self.epoch_index, now, self.rate, action, b_star, b_k, delta_k,
                                 int(self.flag), self.gamma))

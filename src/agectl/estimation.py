@@ -2,20 +2,13 @@
 
 Two smoothed quantities are kept per session: the round-trip time of
 acknowledged updates and the gap between consecutive ACK arrivals (a proxy
-for the inter-delivery time at the monitor). Per control epoch, a window
-on the source's ACK and backlog logs gives the time-average age and
-time-average backlog over that epoch.
+for the inter-delivery time at the monitor). Per control epoch, an
+EpochWindow that the source feeds at each send and each ACK gives the
+time-average age and time-average backlog over that epoch, from running
+sums: control never reads the source's logs.
 """
 
-from dataclasses import dataclass, field
-
-from .metrics import AgeTrace, step_average, time_average_age
-
 DEFAULT_SMOOTHING = 0.875  # retention weight on the previous estimate
-
-
-class NoSamples(Exception):
-    """Raised when an epoch closed without a single ACK."""
 
 
 def ewma_update(prev: float, sample: float, alpha: float) -> float:
@@ -68,49 +61,56 @@ class NetworkEstimator:
         self.last_ack_time = ack_time
 
 
-@dataclass
 class EpochWindow:
-    """One control epoch, read from the source's own logs.
+    """Running sums for one control epoch, fed by the acp+ source.
 
-    The epoch's ACKs are `ack_log[first_ack:]`, (ack_time, seq, rtt) rows.
-    Its backlog steps are `backlog_trace[first_step:]`, (time, backlog) rows
-    from one at or before `epoch_start` on; the backlog is 0 before the
-    first row. Either log may be a list or an endpoints.RowLog: the window
-    reads only len, int indexing and `[i:]` slices. The instantaneous age
-    estimate resets to the ACK's round-trip sample at each ACK arrival and
-    grows at slope one in between. `anchor_time` / `anchor_age` pin the
-    trajectory carried in from before this window (at session start: zero
-    age at the first send).
+    The source calls `ack(time, rtt, backlog)` per in-sequence ACK and
+    `step(time, backlog)` per send, in time order. The age resets to the
+    RTT at each ACK and grows at slope one in between. The window keeps the
+    epoch's age and backlog areas, the last reset, the backlog level and an
+    ACK count. It adds one piece per event, as `metrics.time_average_age`
+    and `metrics.step_average` do, so its averages equal theirs bit for
+    bit: an event at the close instant adds a zero piece to the closing
+    epoch and carries into the next. A new window starts at zero age and
+    zero backlog.
     """
 
-    ack_log: list = field(repr=False)
-    backlog_trace: list = field(repr=False)
-    epoch_start: float
-    anchor_time: float
-    anchor_age: float
-    first_ack: int = 0
-    first_step: int = 0
+    def __init__(self, start: float):
+        self.reset_time, self.reset_age, self.level = start, 0.0, 0
+        self.roll(start)
 
-    def age_average(self, epoch_end: float) -> float:
-        """Time-average of the age sawtooth over [epoch_start, epoch_end]."""
-        acks = self.ack_log
-        if len(acks) <= self.first_ack:
-            raise NoSamples("no ACKs in this epoch")
-        start_age = self.anchor_age + (self.epoch_start - self.anchor_time)
-        resets = ((t, rtt) for t, _, rtt in acks[self.first_ack:])
-        trace = AgeTrace(((self.epoch_start, start_age), *resets))
-        return time_average_age(trace, (self.epoch_start, epoch_end))
+    def roll(self, start: float) -> None:
+        """Open the next epoch at `start`, carrying the last reset and the backlog level."""
+        self.start = self.level_time = start
+        self.age_area = self.backlog_area = 0.0
+        self.acks = 0
 
-    def backlog_average(self, epoch_end: float) -> float:
-        """Time-weighted mean of the backlog step function over the epoch."""
-        return step_average(self.backlog_trace[self.first_step:], self.epoch_start, epoch_end)
+    def _age_from(self):
+        """(time, age) where the age integral stands: the epoch start, or its last reset."""
+        if self.acks:
+            return self.reset_time, self.reset_age
+        return self.start, self.reset_age + (self.start - self.reset_time)
 
-    def roll(self, epoch_end: float) -> "EpochWindow":
-        """Open the next window at epoch_end, carrying the sawtooth anchor."""
-        acks = self.ack_log
-        if len(acks) > self.first_ack:
-            anchor_time, _, anchor_age = acks[-1]
-        else:
-            anchor_time, anchor_age = self.anchor_time, self.anchor_age
-        return EpochWindow(acks, self.backlog_trace, epoch_end, anchor_time, anchor_age,
-                           first_ack=len(acks), first_step=max(len(self.backlog_trace) - 1, 0))
+    def ack(self, time: float, rtt: float, backlog: int) -> None:
+        """An in-sequence ACK at `time`: the age resets to `rtt` and the backlog steps."""
+        t, age = self._age_from()
+        d = time - t
+        self.age_area += age * d + 0.5 * d * d
+        self.reset_time, self.reset_age = time, rtt
+        self.acks += 1
+        self.step(time, backlog)
+
+    def step(self, time: float, backlog: int) -> None:
+        """The backlog becomes `backlog` at `time`."""
+        self.backlog_area += self.level * (time - self.level_time)
+        self.level_time, self.level = time, backlog
+
+    def age_average(self, end: float) -> float:
+        """Time-average of the age sawtooth over [start, end]."""
+        t, age = self._age_from()
+        d = end - t  # the last piece is one term, as metrics adds it: this keeps the last bits
+        return (self.age_area + (age * d + 0.5 * d * d)) / (end - self.start)
+
+    def backlog_average(self, end: float) -> float:
+        """Time-weighted mean of the backlog over [start, end]."""
+        return (self.backlog_area + self.level * (end - self.level_time)) / (end - self.start)

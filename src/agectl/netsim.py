@@ -219,8 +219,15 @@ class MultiaccessChannel:
     retried, never lost; the per-source loss applies to successes instead.
 
     Countdowns freeze while the channel is busy (the frozen backoff of
-    802.11 DCF), so a frame delays every waiter by the same number of
-    slots. Waiters sit in slot buckets: a waiter that attempts in grid slot
+    802.11 DCF), so a frame delays every waiter by the same number of slots.
+    This gives a frame's senders a capture: a frame from grid slot a that
+    ends in slot r moves each waiter from slot k to k + r - a, so no waiter
+    attempts in the resume slot r, while the senders redraw from r on and
+    may. The acceptance trends (acp+ ages below lazy's, its RTT within twice
+    its one-source value) and the deliveries of a 768-source crowd rest on
+    this capture; `TestCaptureChainOracle` pins it with an exact chain.
+
+    Waiters sit in slot buckets: a waiter that attempts in grid slot
     key + shift is listed in `buckets[key]`, and `slots` is a heap of the
     keys in `buckets`. The earliest bucket holds all the senders of the
     next attempt, and a frame only advances `shift`. One attempt event is

@@ -4,12 +4,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from agectl.estimation import (
-    EpochWindow,
-    NetworkEstimator,
-    NoSamples,
-    ewma_update,
-)
+from agectl.endpoints import AcpPlusSource
+from agectl.estimation import EpochWindow, NetworkEstimator, ewma_update
+from agectl.metrics import AgeTrace, step_average, time_average_age
+from agectl.wire import AckPacket
 
 
 class TestEwma:
@@ -67,33 +65,37 @@ class TestNetworkEstimator:
             est.record_ack(0.1, 0.2)
 
 
-def make_window(start=0.0, anchor=(0.0, 0.0), backlog=0):
-    """A window opened at `start` on a source's logs: (window, ack_log, backlog_trace).
+def make_window(start=0.0, anchor=None, backlog=0):
+    """A window opened at `start` with this backlog level.
 
-    The backlog trace holds the level at the start; the ACK log is empty.
+    With an `anchor` (time, age) before `start`, the window is the next
+    epoch of one that saw its last ACK there, so its sawtooth carries on
+    from that reset.
     """
-    ack_log, backlog_trace = [], [(start, backlog)]
-    return EpochWindow(ack_log, backlog_trace, start, *anchor), ack_log, backlog_trace
-
-
-def log_ack(ack_log, ack_time, rtt):
-    ack_log.append((ack_time, len(ack_log), rtt))
+    if anchor is None:
+        w = EpochWindow(start)
+        w.step(start, backlog)
+        return w
+    w = EpochWindow(anchor[0])
+    w.ack(*anchor, backlog)
+    w.roll(start)
+    return w
 
 
 class TestEpochAge:
     def test_two_acks_hand_trapezoid(self):
         # acks at 0 and 0.5 with rtt 0.1: each half ramps 0.1 -> 0.6,
         # averaging (0.1 + 0.6) / 2 = 0.35
-        w, acks, _ = make_window()
-        log_ack(acks, 0.0, 0.1)
-        log_ack(acks, 0.5, 0.1)
+        w = make_window()
+        w.ack(0.0, 0.1, 0)
+        w.ack(0.5, 0.1, 0)
         assert w.age_average(1.0) == pytest.approx(0.35)
 
     def test_single_ack_ramp(self):
         # one ack at the window start: average is rtt + length / 2
         for r, length in [(0.05, 1.0), (0.2, 2.5)]:
-            w, acks, _ = make_window()
-            log_ack(acks, 0.0, r)
+            w = make_window()
+            w.ack(0.0, r, 0)
             assert w.age_average(length) == pytest.approx(r + length / 2)
 
     def test_shift_all_samples_by_constant(self):
@@ -102,25 +104,27 @@ class TestEpochAge:
         rng = random.Random(1)
         times = [0.0] + sorted(rng.uniform(0, 1) for _ in range(9))
         rtts = [rng.uniform(0.01, 0.2) for _ in range(10)]
-        (w1, acks1, _), (w2, acks2, _) = make_window(), make_window()
+        w1, w2 = make_window(), make_window()
         c = 0.037
         for t, r in zip(times, rtts):
-            log_ack(acks1, t, r)
-            log_ack(acks2, t, r + c)
+            w1.ack(t, r, 0)
+            w2.ack(t, r + c, 0)
         assert w2.age_average(1.0) - w1.age_average(1.0) == pytest.approx(c)
 
-    def test_empty_epoch_raises(self):
-        with pytest.raises(NoSamples):
-            make_window()[0].age_average(1.0)
-        # an ACK of the epoch before is not one of this epoch's
-        with pytest.raises(NoSamples):
-            EpochWindow([(0.5, 0, 0.1)], [], 1.0, 0.5, 0.1, first_ack=1).age_average(2.0)
+    def test_acks_count_this_epochs_acks(self):
+        w = make_window()
+        assert w.acks == 0
+        w.ack(0.5, 0.1, 0)
+        w.ack(1.0, 0.1, 0)  # at the close instant: still this epoch's
+        assert w.acks == 2
+        w.roll(1.0)
+        assert w.acks == 0
 
     def test_anchor_carries_previous_trajectory(self):
         # anchor (t=-1, age=0.2): at window start age is 0.2 + 1 = 1.2,
         # one ack at 0.5 resets to 0.1; integral = ramp(1.2, 0.5) + ramp(0.1, 0.5)
-        w, acks, _ = make_window(start=0.0, anchor=(-1.0, 0.2))
-        log_ack(acks, 0.5, 0.1)
+        w = make_window(start=0.0, anchor=(-1.0, 0.2))
+        w.ack(0.5, 0.1, 0)
         expected = (1.2 * 0.5 + 0.5 * 0.25) + (0.1 * 0.5 + 0.5 * 0.25)
         assert w.age_average(1.0) == pytest.approx(expected)
 
@@ -132,13 +136,13 @@ class TestEpochAge:
         for _ in range(20):
             n = rng.randint(1, 12)
             times = sorted(round(rng.uniform(0, 1), 5) for _ in range(n))
-            w, acks, _ = make_window()
-            for t in sorted(set(times)):
-                log_ack(acks, t, round(rng.uniform(0.01, 0.3), 5))
+            w = make_window()
+            events = [(t, round(rng.uniform(0.01, 0.3), 5)) for t in sorted(set(times))]
+            for t, r in events:
+                w.ack(t, r, 0)
             exact = w.age_average(1.0)
             total = 0.0
             cells = int(round(1.0 / step))
-            events = [(t, r) for t, _, r in acks]
             idx = 0
             ref_t, ref_age = 0.0, 0.0
             for c in range(cells):
@@ -154,53 +158,138 @@ class TestEpochAge:
 class TestEpochBacklog:
     def test_step_integral(self):
         # backlog 1 on [0, 0.4), 2 on [0.4, 1.0): 1*0.4 + 2*0.6 = 1.6
-        w, _, steps = make_window(backlog=1)
-        steps.append((0.4, 2))
+        w = make_window(backlog=1)
+        w.step(0.4, 2)
         assert w.backlog_average(1.0) == pytest.approx(1.6)
 
     def test_constant(self):
-        w, _, _ = make_window(backlog=3)
-        assert w.backlog_average(2.0) == pytest.approx(3.0)
+        assert make_window(backlog=3).backlog_average(2.0) == pytest.approx(3.0)
 
     def test_zero(self):
-        w, _, _ = make_window(backlog=0)
-        assert w.backlog_average(1.0) == 0.0
+        assert make_window(backlog=0).backlog_average(1.0) == 0.0
 
     def test_split_segment_invariance(self):
-        w1, _, steps1 = make_window(backlog=2)
-        steps1.append((0.6, 5))
-        w2, _, steps2 = make_window(backlog=2)
-        steps2.append((0.3, 2))  # split the first segment into two equal pieces
-        steps2.append((0.6, 5))
+        w1 = make_window(backlog=2)
+        w1.step(0.6, 5)
+        w2 = make_window(backlog=2)
+        w2.step(0.3, 2)  # split the first segment into two equal pieces
+        w2.step(0.6, 5)
         assert w1.backlog_average(1.0) == pytest.approx(w2.backlog_average(1.0))
+
+    def test_an_ack_steps_the_backlog(self):
+        # backlog 3 on [0, 0.25), then the ACK clears it to 1
+        w = make_window(backlog=3)
+        w.ack(0.25, 0.1, 1)
+        assert w.backlog_average(1.0) == pytest.approx(0.75 + 0.75)
 
 
 class TestRoll:
     def test_roll_carries_anchor_and_level(self):
-        w, acks, steps = make_window(backlog=1)
-        log_ack(acks, 0.7, 0.05)
-        steps.append((0.9, 4))
-        nxt = w.roll(1.0)
-        assert nxt.epoch_start == 1.0
-        assert nxt.anchor_time == 0.7 and nxt.anchor_age == 0.05
-        assert nxt.backlog_average(1.5) == 4.0
+        w = make_window(backlog=1)
+        w.ack(0.7, 0.05, 1)
+        w.step(0.9, 4)
+        w.roll(1.0)
+        assert w.start == 1.0
+        assert w.reset_time == 0.7 and w.reset_age == 0.05
+        assert w.backlog_average(1.5) == 4.0
         # the new window starts on the old trajectory (age 0.05 + 0.3 at 1.0)
         # and ramps over 0.2 s to its first ACK: mean 0.35 + 0.1
-        log_ack(acks, 1.2, 0.01)
-        assert nxt.age_average(1.2) == pytest.approx(0.05 + 0.3 + 0.1)
+        w.ack(1.2, 0.01, 4)
+        assert w.age_average(1.2) == pytest.approx(0.05 + 0.3 + 0.1)
 
     def test_roll_without_acks_keeps_old_anchor(self):
-        w, acks, _ = make_window(anchor=(-0.5, 0.0))
-        nxt = w.roll(1.0)
-        assert nxt.anchor_time == -0.5
-        log_ack(acks, 1.2, 0.01)
-        assert nxt.age_average(1.2) == pytest.approx(1.5 + 0.1)
+        w = make_window(anchor=(-0.5, 0.0))
+        w.roll(1.0)
+        assert w.reset_time == -0.5
+        w.ack(1.2, 0.01, 0)
+        assert w.age_average(1.2) == pytest.approx(1.5 + 0.1)
 
-    def test_windows_before_the_first_backlog_row_read_the_rows_that_follow(self):
+    def test_a_new_window_starts_at_zero_backlog(self):
         # a source opens its first window before it logs its first send
-        ack_log, backlog_trace = [], []
-        w = EpochWindow(ack_log, backlog_trace, 0.0, 0.0, 0.0)
-        nxt = w.roll(0.5)
-        backlog_trace.append((0.6, 2))
+        w = EpochWindow(0.0)
+        w.step(0.6, 2)
         assert w.backlog_average(1.0) == pytest.approx(0.8)
-        assert nxt.backlog_average(1.0) == pytest.approx(1.6)
+        w = EpochWindow(0.0)
+        w.roll(0.5)
+        w.step(0.6, 2)
+        assert w.backlog_average(1.0) == pytest.approx(1.6)
+
+
+def offline_averages(ack_log, backlog_trace, anchor, t0, t1):
+    """The epoch's averages from the full logs, by the offline integrators."""
+    trace = AgeTrace((anchor, *((t, rtt) for t, _, rtt in ack_log)))
+    return time_average_age(trace, (t0, t1)), step_average(backlog_trace, t0, t1)
+
+
+class TestRunningSumsMatchTheOfflineIntegrators:
+    """The window's averages equal, bit for bit, those integrated from the full logs."""
+
+    def drive(self, seed):
+        """Random sends, ACKs and closes on a 10 ms grid, so that many of them tie."""
+        rng = random.Random(seed)
+        start = round(rng.uniform(0, 1), 2)
+        w = EpochWindow(start)
+        ack_log, backlog_trace, backlog = [], [], 0
+        epoch_start, acks, checked = start, 0, []
+        closes = sorted({round(start + rng.uniform(0.01, 3), 2) for _ in range(rng.randint(1, 8))})
+        events = [(t, "close") for t in closes]
+        # a few closes come with an ACK and a send on their very instant
+        for t in rng.sample(closes, k=len(closes) // 2):
+            events += [(t, "ack"), (t, "send")]
+        events += [(start, rng.choice(["ack", "send"]))]
+        for _ in range(rng.randint(0, 40)):
+            events.append((round(rng.uniform(start, closes[-1]), 2), rng.choice(["ack", "send"])))
+        rng.shuffle(events)
+        events.sort(key=lambda e: e[0])  # ties keep a random order
+        for t, kind in events:
+            if kind == "send":
+                backlog += 1
+                backlog_trace.append((t, backlog))
+                w.step(t, backlog)
+            elif kind == "ack":
+                backlog = rng.randint(0, backlog)
+                rtt = rng.uniform(0.001, 0.5)
+                ack_log.append((t, len(ack_log), rtt))
+                backlog_trace.append((t, backlog))
+                w.ack(t, rtt, backlog)
+                acks += 1
+            else:
+                expected = offline_averages(ack_log, backlog_trace, (start, 0.0), epoch_start, t)
+                assert (w.age_average(t), w.backlog_average(t)) == expected
+                assert w.acks == acks
+                checked.append(acks)
+                w.roll(t)
+                epoch_start, acks = t, 0
+        return checked
+
+    def test_random_sequences_with_ties_at_the_epoch_edges(self):
+        checked = [acks for seed in range(300) for acks in self.drive(seed)]
+        # epochs with no ACK, which carry the old anchor, are among them
+        assert len(checked) > 1000 and 0 in checked and max(checked) > 5
+
+    def test_the_last_piece_is_added_as_one_term(self):
+        # here (area + age * d) + 0.5 * d * d rounds differently from
+        # area + (age * d + 0.5 * d * d), which is the offline integrator's sum
+        w = EpochWindow(0.0)
+        w.ack(0.0, 0.36, 1)
+        w.ack(0.76, 0.01, 0)
+        expected, _ = offline_averages([(0.0, 0, 0.36), (0.76, 1, 0.01)], [], (0.0, 0.0),
+                                       0.0, 1.21)
+        assert w.age_average(1.21) == expected
+        area, d = 0.36 * 0.76 + 0.5 * 0.76 * 0.76, 1.21 - 0.76
+        assert (area + 0.01 * d + 0.5 * d * d) / 1.21 != expected
+
+    def test_the_window_opened_at_the_first_ack_counts_that_ack(self):
+        # the first epoch sees no ACK but the one it opened on, which still
+        # gives it averages for the next epoch to compare against
+        src = AcpPlusSource()
+        (pkt,) = src.start(0.0)
+        src.on_ack(AckPacket(pkt.seq, pkt.gen_ts), 0.1)
+        assert src.epoch_window.acks == 1
+        end = src.next_epoch_time
+        while not src.epoch_rows:
+            src.fire(src.deadline())
+        assert src.epoch_rows[0][1] == end
+        assert (src.prev_age_avg, src.prev_backlog_avg) == offline_averages(
+            src.ack_log, src.backlog_trace, (0.0, 0.0), 0.1, end)
+        assert src.prev_age_avg == pytest.approx(0.1 + (end - 0.1) / 2)
