@@ -5,19 +5,19 @@ and an optional [multiaccess] block, keyed by the fields of netsim's config
 dataclasses; see the README for the format. Each run writes its own
 directory with per-source CSVs and a manifest that pins the seed, config
 snapshot and code version, so any run can be reproduced exactly.
+
+The process pool, the live transport, argparse, json and statistics are
+imported inside the code that runs them, so a command pays at start-up only
+for what it uses.
 """
 
-import argparse
 import dataclasses
 import hashlib
-import json
 import math
 import signal
-import statistics
 import sys
 import threading
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -52,7 +52,6 @@ from .netsim import (
     rtt_vs_load_curve,
     run_simulation,
 )
-from .transport import ProxyConfig, ProxyStats, run_monitor, run_proxy, run_source
 from .wire import DEFAULT_PAYLOAD_BYTES, MAX_PAYLOAD, update_bits
 
 # -- spec file parsing
@@ -231,6 +230,8 @@ def _fmt(value):
 
 def summarize_run(result, warmup_frac):
     """Run-level aggregates: one summary row plus per-source details."""
+    import statistics
+
     cfg = result.cfg
     horizon = default_horizon(0.0, cfg.duration, warmup_frac)
     ages, delays, backlogs, inter_acks, inter_deliveries = [], [], [], [], []
@@ -270,6 +271,8 @@ def sweep_min_age(base, modes, warmup_frac=DEFAULT_WARMUP_FRAC):
 
 
 def _execute_run(args):
+    import json
+
     spec_text, n, proto, rep, run_dir = args
     spec = ExperimentSpec(spec_text)
     cfg = spec.sim_config(n, proto, rep)
@@ -302,6 +305,9 @@ def _execute_run(args):
 
 
 def cmd_simulate(spec_path, out_dir, jobs=1):
+    if jobs < 1:
+        print(f"simulate: jobs must be >= 1, got {jobs}", file=sys.stderr)
+        return 2
     try:
         spec = ExperimentSpec(Path(spec_path).read_text())
     except (SpecError, OSError) as exc:
@@ -313,8 +319,11 @@ def cmd_simulate(spec_path, out_dir, jobs=1):
     for n, proto, rep in spec.runs():
         run_dir = out / f"sources-{n:03d}" / proto.replace(":", "-") / f"rep{rep:02d}"
         tasks.append((spec.text, n, proto, rep, str(run_dir)))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_safely, tasks))
     else:
         outcomes = [_run_safely(task) for task in tasks]
@@ -343,6 +352,8 @@ def _run_safely(task):
 
 
 def _rollup(rows):
+    import statistics
+
     groups = {}
     for row in rows:
         groups.setdefault((row[2], row[1]), []).append(row)
@@ -364,6 +375,9 @@ def _rollup(rows):
 
 
 def cmd_report(run_dir, warmup_frac=DEFAULT_WARMUP_FRAC):
+    import json
+    import statistics
+
     run_dir = Path(run_dir)
     # endpoint logs are told apart by their header row; anything else is skipped
     headers = {path: read_header(path) for path in sorted(run_dir.glob("*.csv"))}
@@ -495,6 +509,8 @@ def cmd_rtt_curve(args):
 
 def _arg_type(convert):
     """An argparse type that reports the ValueError of convert(text) as a usage error."""
+    import argparse
+
     def parse(text):
         try:
             return convert(text)
@@ -542,6 +558,8 @@ def _until_signalled(run, *args, **kw):
 
 
 def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(prog="agectl",
                                      description="age-control update transport toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -609,11 +627,17 @@ def main(argv=None):
             print(f"source: payload_bytes must be in [0, {MAX_PAYLOAD}], got {args.payload_bytes}",
                   file=sys.stderr)
             return 2
+        from .transport import run_source
+
         return _until_signalled(run_source, args.peer, args.mode, args.duration, args.out,
                                 payload_bytes=args.payload_bytes, listen=args.listen)
     if args.command == "monitor":
+        from .transport import run_monitor
+
         return _until_signalled(run_monitor, args.listen, args.duration, args.out)
     if args.command == "proxy":
+        from .transport import ProxyConfig, ProxyStats, run_proxy
+
         try:
             cfg = ProxyConfig(listen=args.listen, forward=args.forward,
                               delay=args.delay_ms / 1e3, delay_dist=args.delay_dist,

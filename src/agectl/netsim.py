@@ -567,8 +567,11 @@ def simulate_station_system_time(station_cfg, arrival_rate, packets, seed=0,
     """Mean time through one station of the packets it delivers, under Poisson arrivals.
 
     The warm-up skips the first tenth of the `packets` arrivals. Raises
-    ValueError when the station delivers none of the arrivals after it.
+    ValueError when `packets` is below 1 or the station delivers none of
+    the arrivals after the warm-up.
     """
+    if packets < 1:
+        raise ValueError(f"packets must be >= 1, got {packets}")
     arrivals = random.Random(f"{seed}/arrivals")
     hop = StationQueue(station_cfg, random.Random(f"{seed}/service"))
     skip = int(packets * DEFAULT_WARMUP_FRAC)

@@ -307,9 +307,9 @@ prop_delay = 0.002
 """
 
 
-def test_simulate_survives_lost_first_updates(tmp_path, monkeypatch):
-    # some source loses every update generated before the warm-up cut, so
-    # its age at the cut is counted from the start of the run
+@pytest.fixture
+def kept_runs(monkeypatch):
+    """The networks that cmd_simulate runs in this process, in order."""
     results = []
     run_simulation = cli.run_simulation
 
@@ -318,14 +318,45 @@ def test_simulate_survives_lost_first_updates(tmp_path, monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(cli, "run_simulation", keep)
+    return results
+
+
+def test_simulate_survives_lost_first_updates(tmp_path, kept_runs):
+    # some source loses every update generated before the warm-up cut, so
+    # its age at the cut is counted from the start of the run
     spec = tmp_path / "lossy.spec"
     spec.write_text(LOSSY_SPEC)
     assert cmd_simulate(str(spec), str(tmp_path)) == 0
     cut = 0.1 * 4  # default warmup_frac times duration
-    assert any(m.delivery_log[0][2] / 1e9 > cut for r in results for m in r.monitors)
+    assert any(m.delivery_log[0][2] / 1e9 > cut for r in kept_runs for m in r.monitors)
     rows = list(csv.DictReader(open(tmp_path / "lossy" / "runs.csv")))
     assert [r["protocol"] for r in rows] == ["acp+", "lazy"]
     assert all(float(r["avg_age_ms"]) > 0 for r in rows)
+
+
+def test_a_one_run_spec_runs_in_process_at_any_jobs(tmp_path, kept_runs):
+    # a pool worker would run it in a child process, out of kept_runs' reach
+    spec = tmp_path / "one.spec"
+    spec.write_text(SPEC_TEXT.replace("repetitions = 2", "repetitions = 1")
+                    .replace("sweep_sources = 1,2", "sweep_sources = 1")
+                    .replace("protocols = acp+,lazy", "protocols = acp+"))
+    assert cmd_simulate(str(spec), str(tmp_path), jobs=2) == 0
+    assert [(r.cfg.n_sources, r.cfg.protocol) for r in kept_runs] == [(1, "acp+")]
+
+
+def test_importing_the_cli_loads_only_what_every_command_needs():
+    # the pool, the live transport, the parser and the summaries' json and
+    # statistics load in the code that runs them, not at start-up
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import agectl.cli\n"
+             "lazy = {'concurrent.futures.process', 'multiprocessing', 'argparse', 'socket',\n"
+             "        'agectl.transport', 'json', 'statistics'}\n"
+             "print(sorted(lazy & (set(sys.modules) - before)))\n")
+    src = str(Path(agectl.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 PACKET_BITS = 8 * (19 + 1024)
@@ -558,6 +589,12 @@ def test_report_warmup_frac_outside_zero_to_one_is_a_usage_error(frac, tmp_path,
      "sweep-min-age: payload_bytes must be >= 0, got -100"),
     (["rtt-curve", "--payload-bytes", "-19"], "rtt-curve: payload_bytes must be >= 0, got -19"),
     (["rtt-curve", "--payload-bytes", "-100"], "rtt-curve: payload_bytes must be >= 0, got -100"),
+    (["rtt-curve", "--mode", "simulate", "--packets", "0"],
+     "rtt-curve: packets must be >= 1, got 0"),
+    (["rtt-curve", "--mode", "simulate", "--packets", "-5"],
+     "rtt-curve: packets must be >= 1, got -5"),
+    (["simulate", "spec.txt", "--jobs", "0"], "simulate: jobs must be >= 1, got 0"),
+    (["simulate", "spec.txt", "--jobs", "-4"], "simulate: jobs must be >= 1, got -4"),
     (["source", "--payload-bytes", "-1"], "source: payload_bytes must be in [0, 65488], got -1"),
     (["source", "--payload-bytes", "70000"],
      "source: payload_bytes must be in [0, 65488], got 70000"),
