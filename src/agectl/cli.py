@@ -6,15 +6,18 @@ dataclasses; see the README for the format. Each run writes its own
 directory with per-source CSVs and a manifest that pins the seed, config
 snapshot and code version, so any run can be reproduced exactly.
 
-The process pool, the live transport, argparse, json and statistics are
-imported inside the code that runs them, so a command pays at start-up only
-for what it uses.
+The live transport is imported only by the source, monitor and proxy
+commands, and the process pool only by a simulate that runs more than one
+run at a time. argparse is imported by build_parser, so code that imports
+this module as a library does not load it.
 """
 
 import dataclasses
 import hashlib
+import json
 import math
 import signal
+import statistics
 import sys
 import threading
 import typing
@@ -230,8 +233,6 @@ def _fmt(value):
 
 def summarize_run(result, warmup_frac):
     """Run-level aggregates: one summary row plus per-source details."""
-    import statistics
-
     cfg = result.cfg
     horizon = default_horizon(0.0, cfg.duration, warmup_frac)
     ages, delays, backlogs, inter_acks, inter_deliveries = [], [], [], [], []
@@ -271,8 +272,6 @@ def sweep_min_age(base, modes, warmup_frac=DEFAULT_WARMUP_FRAC):
 
 
 def _execute_run(args):
-    import json
-
     spec_text, n, proto, rep, run_dir = args
     spec = ExperimentSpec(spec_text)
     cfg = spec.sim_config(n, proto, rep)
@@ -352,8 +351,6 @@ def _run_safely(task):
 
 
 def _rollup(rows):
-    import statistics
-
     groups = {}
     for row in rows:
         groups.setdefault((row[2], row[1]), []).append(row)
@@ -375,9 +372,6 @@ def _rollup(rows):
 
 
 def cmd_report(run_dir, warmup_frac=DEFAULT_WARMUP_FRAC):
-    import json
-    import statistics
-
     run_dir = Path(run_dir)
     # endpoint logs are told apart by their header row; anything else is skipped
     headers = {path: read_header(path) for path in sorted(run_dir.glob("*.csv"))}

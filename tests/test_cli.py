@@ -344,14 +344,14 @@ def test_a_one_run_spec_runs_in_process_at_any_jobs(tmp_path, kept_runs):
     assert [(r.cfg.n_sources, r.cfg.protocol) for r in kept_runs] == [(1, "acp+")]
 
 
-def test_importing_the_cli_loads_only_what_every_command_needs():
-    # the pool, the live transport, the parser and the summaries' json and
-    # statistics load in the code that runs them, not at start-up
+def test_importing_the_cli_loads_no_pool_transport_or_parser():
+    # the pool, the live transport and the parser load in the code that runs
+    # them, not when the module is imported
     probe = ("import sys\n"
              "before = set(sys.modules)\n"
              "import agectl.cli\n"
              "lazy = {'concurrent.futures.process', 'multiprocessing', 'argparse', 'socket',\n"
-             "        'agectl.transport', 'json', 'statistics'}\n"
+             "        'agectl.transport'}\n"
              "print(sorted(lazy & (set(sys.modules) - before)))\n")
     src = str(Path(agectl.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
