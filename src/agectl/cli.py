@@ -12,6 +12,7 @@ run at a time. argparse is imported by build_parser, so code that imports
 this module as a library does not load it.
 """
 
+import bisect
 import dataclasses
 import hashlib
 import json
@@ -44,6 +45,7 @@ from .metrics import (
     age_trace_from_rtt_samples,
     default_horizon,
     jain_fairness,
+    step_average,
     summarize,
     time_average_age,
 )
@@ -226,39 +228,45 @@ ROLLUP_METRICS = slice(3, 9)
 
 
 def _fmt(value):
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return ""
-    return round(value, 6)
+    return "" if math.isnan(value) else round(value, 6)
+
+
+def source_rows(network, horizon):
+    """One row of plain numbers per source of a finished run, over `horizon`.
+
+    A row holds metrics.summarize's fields, with the age anchored at the run start, the
+    time-average backlog, and the mean RTT (rtt) and mean gap (inter_ack) of the ACKs
+    inside the horizon, nan when there are too few.
+    """
+    rows = []
+    for source, monitor in zip(network.sources, network.monitors):
+        stats = summarize([(r, seq, g / 1e9) for r, seq, g in monitor.delivery_log], horizon,
+                          network.cfg.payload_bytes, run_start=0.0)
+        times, _, rtts = source.ack_log.columns
+        lo, hi = bisect.bisect_left(times, horizon[0]), bisect.bisect_right(times, horizon[1])
+        rows.append({**vars(stats), "backlog": step_average(source.backlog_trace, *horizon),
+                     "rtt": statistics.mean(rtts[lo:hi]) if hi > lo else math.nan,
+                     "inter_ack": (times[hi - 1] - times[lo]) / (hi - lo - 1)
+                     if hi - lo > 1 else math.nan})
+    return rows
 
 
 def summarize_run(result, warmup_frac):
-    """Run-level aggregates: one summary row plus per-source details."""
-    cfg = result.cfg
-    horizon = default_horizon(0.0, cfg.duration, warmup_frac)
-    ages, delays, backlogs, inter_acks, inter_deliveries = [], [], [], [], []
-    throughput_total = 0.0
-    for i in range(cfg.n_sources):
-        rows = result.delivery_rows(i)
-        stats = summarize(rows, horizon, cfg.payload_bytes, run_start=0.0)
-        if stats.delivered_count:
-            ages.append(stats.avg_age)
-            delays.append(stats.avg_delay)
-            throughput_total += stats.throughput
-            if not math.isnan(stats.avg_inter_delivery):
-                inter_deliveries.append(stats.avg_inter_delivery)
-        backlogs.append(result.backlog_average(i, horizon))
-        acks = [t for t, _, _ in result.sources[i].ack_log if horizon[0] <= t <= horizon[1]]
-        if len(acks) > 1:
-            inter_acks.append((acks[-1] - acks[0]) / (len(acks) - 1))
-    fairness = jain_fairness(ages) if len(ages) > 1 else 1.0
+    """summary.csv's metrics of a finished run from its source_rows; every source counts."""
+    rows = source_rows(result, default_horizon(0.0, result.cfg.duration, warmup_frac))
+    ages = [row["avg_age"] for row in rows]
+
+    def mean_ms(key):  # over the sources that have a value
+        values = [row[key] for row in rows if not math.isnan(row[key])]
+        return statistics.mean(values) * 1e3 if values else math.nan
     return {
-        "avg_age_ms": statistics.mean(ages) * 1e3 if ages else math.nan,
-        "avg_delay_ms": statistics.mean(delays) * 1e3 if delays else math.nan,
-        "throughput_bps": throughput_total,
-        "inter_delivery_ms": statistics.mean(inter_deliveries) * 1e3 if inter_deliveries else math.nan,
-        "backlog_avg": statistics.mean(backlogs),
-        "fairness": fairness,
-        "inter_ack_ms": statistics.mean(inter_acks) * 1e3 if inter_acks else math.nan,
+        "avg_age_ms": statistics.mean(ages) * 1e3,
+        "avg_delay_ms": mean_ms("avg_delay"),
+        "throughput_bps": sum(row["throughput"] for row in rows),
+        "inter_delivery_ms": mean_ms("avg_inter_delivery"),
+        "backlog_avg": statistics.mean(row["backlog"] for row in rows),
+        "fairness": jain_fairness(ages) if len(ages) > 1 else 1.0,
+        "inter_ack_ms": mean_ms("inter_ack"),
     }
 
 
@@ -469,14 +477,13 @@ def cmd_sweep_min_age(args):
     except ValueError as exc:
         print(f"sweep-min-age: {exc}", file=sys.stderr)
         return 2
-    ages = [s["avg_age_ms"] / 1e3 for s in summaries]  # nan: nothing delivered after warm-up
-    rows = [(rate, f"{age:.6f}", f"{s['backlog_avg']:.4f}")
-            for rate, age, s in zip(rates, ages, summaries)]
+    rows = [(rate, f"{s['avg_age_ms'] / 1e3:.6f}", f"{s['backlog_avg']:.4f}")
+            for rate, s in zip(rates, summaries)]
     if args.out:
         write_rows(args.out, ("rate", "avg_age", "avg_backlog"), rows)
     for r in rows:
         print(*r)
-    best = min(range(len(rates)), key=lambda k: (math.isnan(ages[k]), ages[k]))
+    best = min(range(len(rates)), key=lambda k: summaries[k]["avg_age_ms"])
     print(f"best_rate={rows[best][0]} best_age={rows[best][1]} "
           f"backlog_at_best={rows[best][2]}")
     return 0

@@ -156,7 +156,7 @@ def jain_fairness(values) -> float:
 
 @dataclass(frozen=True)
 class SummaryStats:
-    avg_age: float  # seconds; nan when nothing was delivered
+    avg_age: float  # seconds; nan when no age is known (see summarize)
     avg_delay: float
     throughput: float  # payload bits per second
     avg_inter_delivery: float
@@ -169,12 +169,23 @@ def summarize(monitor_log, horizon, payload_bytes: int, run_start=None) -> Summa
 
     monitor_log: (receive_time, seq, gen_ts_seconds) rows. Updates sent are
     estimated from the seq span, so superseded and lost ones count as losses.
+    The age comes from the log whenever a delivery precedes the horizon end;
+    with an empty log it is the ramp from `run_start`, and otherwise nan.
     """
     t0, t1 = horizon
     rows = [row for row in monitor_log if t0 <= row[0] <= t1]
+    if monitor_log and monitor_log[0][0] <= t1:
+        # the full log, so the pre-horizon trajectory anchors the trace
+        trace = age_trace_from_deliveries([(r, g) for r, _, g in monitor_log], horizon,
+                                          run_start)
+        avg_age = time_average_age(trace, horizon)
+    elif not monitor_log and run_start is not None:
+        avg_age = (t0 + t1) / 2 - run_start
+    else:
+        avg_age = math.nan
     if not rows:
         return SummaryStats(
-            avg_age=math.nan, avg_delay=math.nan, throughput=0.0,
+            avg_age=avg_age, avg_delay=math.nan, throughput=0.0,
             avg_inter_delivery=math.nan, delivered_count=0, loss_fraction=math.nan,
         )
     delivered = len(rows)
@@ -185,10 +196,6 @@ def summarize(monitor_log, horizon, payload_bytes: int, run_start=None) -> Summa
         avg_inter_delivery = (rows[-1][0] - rows[0][0]) / (delivered - 1)
     else:
         avg_inter_delivery = math.nan
-    # build the trace from the full log so the pre-horizon trajectory anchors it
-    trace = age_trace_from_deliveries([(r, g) for r, _, g in monitor_log], (t0, t1),
-                                      run_start)
-    avg_age = time_average_age(trace, (t0, t1))
     sent_count = rows[-1][1] - rows[0][1] + 1  # seq span within the horizon
     loss_fraction = 1.0 - delivered / sent_count if sent_count else math.nan
     return SummaryStats(

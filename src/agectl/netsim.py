@@ -35,7 +35,7 @@ from operator import itemgetter
 
 from .endpoints import MODE_POISSON, Monitor, make_source, parse_mode
 from .estimation import DEFAULT_SMOOTHING
-from .metrics import DEFAULT_WARMUP_FRAC, step_average
+from .metrics import DEFAULT_WARMUP_FRAC
 from .wire import ACK_SIZE, DEFAULT_PAYLOAD_BYTES, UpdatePacket, update_bits
 
 # event priorities at equal timestamps: packets move first, then the
@@ -546,13 +546,6 @@ class _Network:
             if isinstance(args[-1], UpdatePacket):  # (src, update) of a packet event
                 counts[args[0]] += 1
         return counts
-
-    def delivery_rows(self, src):
-        """(receive_time, seq, gen_ts_seconds) per delivery at the monitor."""
-        return [(r, seq, g / 1e9) for r, seq, g in self.monitors[src].delivery_log]
-
-    def backlog_average(self, src, horizon):
-        return step_average(self.sources[src].backlog_trace, *horizon)
 
 
 def run_simulation(cfg: SimConfig) -> _Network:

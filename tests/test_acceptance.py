@@ -1,22 +1,26 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
-lines as they complete. The multiaccess trend runs take a few minutes;
-everything here is deterministic (frozen seeds).
+lines as they complete. The multiaccess trend runs go through a process
+pool with one worker per available CPU; everything here is deterministic
+(frozen seeds).
 """
 
 import math
+import multiprocessing
+import os
 import pathlib
 import random
 import socket
 import statistics
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from agectl.cli import sweep_min_age
+from agectl.cli import source_rows, sweep_min_age
 from agectl.controller import control_step, update_lambda
 from agectl.csvio import ack_csv_path, read_ack_log, read_monitor_log
 from agectl.metrics import (
@@ -211,29 +215,29 @@ TREND_COUNTS = (1, 6, 12, 24, 48)
 
 
 def _trend_run(n, proto, rep):
+    """(age, mean RTT, backlog) per source of one trend run, after a 0.3 warm-up."""
     cfg = SimConfig(stations=(TREND_STATION, TREND_STATION), n_sources=n,
                     protocol=proto, duration=TREND_DURATION, seed=1000 + rep,
                     multiaccess=TREND_CHANNEL, record_trace=False)
-    result = run_simulation(cfg)
-    horizon = default_horizon(0.0, TREND_DURATION, 0.3)
-    out = []
-    for i in range(n):
-        rows = [(r, g) for r, _, g in result.delivery_rows(i)]
-        age = time_average_age(age_trace_from_deliveries(rows, horizon), horizon)
-        rtts = [rtt for t, _, rtt in result.sources[i].ack_log if t >= horizon[0]]
-        out.append((age, statistics.mean(rtts), result.backlog_average(i, horizon)))
-    return out
+    rows = source_rows(run_simulation(cfg), default_horizon(0.0, TREND_DURATION, 0.3))
+    return [(row["avg_age"], row["rtt"], row["backlog"]) for row in rows]
 
 
 def test_criterion_6_multiaccess_trends():
     start = time.monotonic()
+    runs = [(n, proto, rep) for proto in ("acp+", "lazy") for n in TREND_COUNTS
+            for rep in range(TREND_REPS)]
+    # spawned, not forked: earlier tests may leave threads in this process
+    with ProcessPoolExecutor(max_workers=len(os.sched_getaffinity(0)),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        results = dict(zip(runs, pool.map(_trend_run, *zip(*runs))))
     agg = {}
     for proto in ("acp+", "lazy"):
         for n in TREND_COUNTS:
             per_source = [[] for _ in range(n)]
             run_jains = []
             for rep in range(TREND_REPS):
-                values = _trend_run(n, proto, rep)
+                values = results[(n, proto, rep)]
                 for i, v in enumerate(values):
                     per_source[i].append(v)
                 run_jains.append(jain_fairness([v[0] for v in values]))
@@ -286,8 +290,7 @@ def test_criterion_7_lazy_backlog():
     for seed in (1, 2, 3):
         cfg = SimConfig(stations=(st, st), n_sources=1, protocol="lazy",
                         duration=60.0, seed=seed, record_trace=False)
-        result = run_simulation(cfg)
-        values.append(result.backlog_average(0, default_horizon(0.0, 60.0)))
+        values.append(source_rows(run_simulation(cfg), default_horizon(0.0, 60.0))[0]["backlog"])
     elapsed = time.monotonic() - start
     ok = all(0.8 <= v <= 1.2 for v in values) and elapsed < 60.0
     report(7, "lazy-backlog", ok,

@@ -4,8 +4,10 @@
 by looking them up by name (`instrument()`), and the live workload swaps
 `transport.make_source` and `transport.Monitor`. A refactor that renames or
 removes one of them breaks the benchmark without failing any other test.
-This runs `instrument()` around one small simulation, checks that every
-layer it patches was entered, and that `restore()` puts the originals back.
+This runs `instrument()` around one small simulation and its run summary,
+checks that every layer it patches was entered (the summary enters
+`cli.summarize`, which the traced run reports as `metrics.summarize.s`),
+and that `restore()` puts the originals back.
 A short loopback session checks that the live endpoints look up each name
 the benchmark swaps or wraps on `transport` at call time, not at import.
 The stations schedule no events of their own, so the `netsim.station` span
@@ -24,13 +26,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import run as bench  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
-from agectl import endpoints, estimation, netsim, transport  # noqa: E402
+from agectl import cli, endpoints, estimation, netsim, transport  # noqa: E402
 
 SPANS = (
     "endpoints.fire", "endpoints.on_ack", "endpoints.monitor_on_update",
     "estimation.record_ack", "estimation.age_average", "estimation.backlog_average",
     "controller.control_step", "controller.update_lambda",
-    "netsim.channel", "netsim.timer", "netsim.delivery",
+    "netsim.channel", "netsim.timer", "netsim.delivery", "metrics.summarize",
 )
 
 
@@ -48,12 +50,13 @@ def test_instrument_spans_every_layer_and_restores():
         (netsim.EventQueue, "push"), (endpoints.SourceBase, "on_ack"),
         (estimation.EpochWindow, "age_average"), (estimation.EpochWindow, "backlog_average"),
         (endpoints, "control_step"), (transport, "encode_update"), (transport, "decode_ack"),
+        (cli, "summarize"), (cli, "write_rows"),
     ]
     originals = [getattr(owner, name) for owner, name in patched]
     tracer = Tracer()
     bench.instrument(tracer)
     try:
-        netsim.run_simulation(small_config())
+        cli.summarize_run(netsim.run_simulation(small_config()), 0.1)
     finally:
         tracer.restore()
     totals = tracer.totals()

@@ -5,6 +5,7 @@ import re
 import select
 import signal
 import socket
+import statistics
 import subprocess
 import sys
 import threading
@@ -33,7 +34,14 @@ from agectl.csvio import (
     write_epoch_log,
     write_monitor_log,
 )
-from agectl.netsim import DETERMINISTIC, EXPONENTIAL, MultiaccessConfig, SimConfig, StationConfig
+from agectl.netsim import (
+    DETERMINISTIC,
+    EXPONENTIAL,
+    MultiaccessConfig,
+    SimConfig,
+    StationConfig,
+    run_simulation,
+)
 from agectl.wire import UpdatePacket, decode_ack, encode_update
 
 SPEC_TEXT = """
@@ -334,6 +342,51 @@ def test_simulate_survives_lost_first_updates(tmp_path, kept_runs):
     assert all(float(r["avg_age_ms"]) > 0 for r in rows)
 
 
+def reference_age(deliveries, t0, t1):
+    """Time-average over [t0, t1] of t - G(t), integrated apart from agectl.metrics.
+
+    G(t) is the generation time of the freshest update received by t.
+    Before the first delivery G is that update's generation time if it
+    precedes t0, and the run start 0 otherwise, or if nothing was delivered.
+    """
+    first_gen = deliveries[0][1] if deliveries else 0.0
+    gen = first_gen if first_gen <= t0 else 0.0
+    t, area = t0, 0.0
+    for r, g in deliveries:
+        if r <= t0:
+            gen = g
+            continue
+        if r > t1:
+            break
+        area += ((r - gen) ** 2 - (t - gen) ** 2) / 2
+        t, gen = r, g
+    area += ((t1 - gen) ** 2 - (t - gen) ** 2) / 2
+    return area / (t1 - t0)
+
+
+def test_run_summary_counts_every_source_including_the_starving_ones():
+    # 3 s of the crowd-n768 channel: half the sources deliver nothing after
+    # the warm-up, and most of those deliver nothing at all
+    station = StationConfig(service=DETERMINISTIC, rate=6e6, buffer=100, prop_delay=0.002)
+    channel = MultiaccessConfig(link_rate=12e6, slot=2.5e-4, persistence=0.25,
+                                max_backoff_exp=5, per_source_loss=0.01)
+    cfg = SimConfig(stations=(station, station), n_sources=768, protocol="acp+", duration=3.0,
+                    seed=5, multiaccess=channel, record_trace=False)
+    result = run_simulation(cfg)
+    t0, t1 = 0.3, 3.0
+    ages, starving, silent = [], 0, 0
+    for monitor in result.monitors:
+        deliveries = [(r, g / 1e9) for r, _, g in monitor.delivery_log]
+        starving += not any(t0 <= r <= t1 for r, _ in deliveries)
+        silent += not deliveries
+        ages.append(reference_age(deliveries, t0, t1))
+    assert (starving, silent) == (383, 361)
+    summary = cli.summarize_run(result, 0.1)
+    assert summary["avg_age_ms"] == pytest.approx(statistics.mean(ages) * 1e3, rel=1e-9)
+    jain = sum(ages) ** 2 / (len(ages) * sum(a * a for a in ages))
+    assert summary["fairness"] == pytest.approx(jain, rel=1e-9)
+
+
 def test_a_one_run_spec_runs_in_process_at_any_jobs(tmp_path, kept_runs):
     # a pool worker would run it in a child process, out of kept_runs' reach
     spec = tmp_path / "one.spec"
@@ -387,10 +440,11 @@ class TestSweep:
 
 
 def test_sweep_never_picks_a_rate_with_nothing_delivered_after_the_warm_up(capsys):
-    # poisson:0.01 delivers its t = 0 update and, at this seed, nothing more in 5 s
+    # poisson:0.01 delivers its t = 0 update and, at this seed, nothing more in
+    # 5 s, so its age is the ramp from that update: (0.5 + 5) / 2 s
     assert main(["sweep-min-age", "--duration", "5", "--rates", "0.01", "200"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "0.01 nan 0.0000"
+    assert lines[0] == "0.01 2.750000 0.0000"
     assert lines[-1].startswith("best_rate=200.0 ")
 
 

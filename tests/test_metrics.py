@@ -183,6 +183,22 @@ class TestSummarize:
         assert stats.delivered_count == 0
         assert math.isnan(stats.avg_age)
 
+    def test_deliveries_all_before_the_horizon_give_the_age_from_the_log(self):
+        log = [(0.2, 0, 0.1), (0.5, 1, 0.4)]
+        stats = summarize(log, (1.0, 2.0), payload_bytes=100, run_start=0.0)
+        # the age continues from the last delivery: 0.6 at t = 1, 1.6 at t = 2
+        assert stats.avg_age == pytest.approx(1.1)
+        assert stats.delivered_count == 0 and stats.throughput == 0.0
+        assert math.isnan(stats.avg_delay)
+
+    def test_empty_log_with_run_start_is_the_ramp_from_it(self):
+        stats = summarize([], (1.0, 3.0), payload_bytes=100, run_start=0.5)
+        assert stats.avg_age == pytest.approx(1.5)  # t - 0.5 averaged over [1, 3]
+        assert stats.delivered_count == 0
+
+    def test_empty_log_without_run_start_has_no_age(self):
+        assert math.isnan(summarize([], (1.0, 3.0), payload_bytes=100).avg_age)
+
     def test_run_start_anchors_age_when_first_updates_were_lost(self):
         rows = [(1.25, 1, 1.0), (2.25, 2, 2.0)]
         with pytest.raises(ValueError):

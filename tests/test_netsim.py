@@ -12,12 +12,8 @@ from pathlib import Path
 import pytest
 
 import agectl
-from agectl.metrics import (
-    age_trace_from_deliveries,
-    default_horizon,
-    step_average,
-    time_average_age,
-)
+from agectl.cli import source_rows
+from agectl.metrics import default_horizon, step_average
 from agectl.netsim import (
     DELIVERED,
     DETERMINISTIC,
@@ -606,10 +602,7 @@ def single_source_age(service, rho, seed, duration, mu=1000.0):
     st = StationConfig(service=service, rate=mu * PACKET_BITS)
     cfg = SimConfig(stations=(st,), protocol=f"poisson:{rho * mu}", duration=duration,
                     seed=seed, ack_path="instant")
-    result = run_simulation(cfg)
-    horizon = default_horizon(0.0, duration)
-    rows = [(r, g) for r, _, g in result.delivery_rows(0)]
-    return time_average_age(age_trace_from_deliveries(rows, horizon), horizon)
+    return source_rows(run_simulation(cfg), default_horizon(0.0, duration))[0]["avg_age"]
 
 
 class TestMM1AgeOracle:
@@ -756,7 +749,7 @@ def test_lazy_sim_backlog_near_one():
                     duration=30.0, seed=8)
     result = run_simulation(cfg)
     horizon = default_horizon(0.0, 30.0)
-    assert 0.8 <= result.backlog_average(0, horizon) <= 1.2
+    assert 0.8 <= source_rows(result, horizon)[0]["backlog"] <= 1.2
     # every 100-round-trip window stays near one update in flight
     rtts = [rtt for _, _, rtt in result.sources[0].ack_log]
     window = 100 * sum(rtts) / len(rtts)
@@ -797,9 +790,7 @@ def test_acp_age_beats_starved_constant_on_shared_path():
     for proto in ("acp+", "constant:2"):
         cfg = SimConfig(stations=(st, st), n_sources=1, protocol=proto,
                         duration=20.0, seed=6)
-        result = run_simulation(cfg)
-        rows = [(r, g) for r, _, g in result.delivery_rows(0)]
-        ages[proto] = time_average_age(age_trace_from_deliveries(rows, horizon), horizon)
+        ages[proto] = source_rows(run_simulation(cfg), horizon)[0]["avg_age"]
     assert ages["acp+"] < ages["constant:2"]
 
 
