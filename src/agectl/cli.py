@@ -245,7 +245,7 @@ def source_rows(network, horizon):
         times, _, rtts = source.ack_log.columns
         lo, hi = bisect.bisect_left(times, horizon[0]), bisect.bisect_right(times, horizon[1])
         rows.append({**vars(stats), "backlog": step_average(source.backlog_trace, *horizon),
-                     "rtt": statistics.mean(rtts[lo:hi]) if hi > lo else math.nan,
+                     "rtt": statistics.fmean(rtts[lo:hi]) if hi > lo else math.nan,
                      "inter_ack": (times[hi - 1] - times[lo]) / (hi - lo - 1)
                      if hi - lo > 1 else math.nan})
     return rows
@@ -321,7 +321,11 @@ def cmd_simulate(spec_path, out_dir, jobs=1):
         print(f"{spec_path}: {exc}", file=sys.stderr)
         return 2
     out = Path(out_dir) / spec.name
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. --out names a file
+        print(f"simulate: cannot create {out}: {exc.strerror}", file=sys.stderr)
+        return 2
     tasks = []
     for n, proto, rep in spec.runs():
         run_dir = out / f"sources-{n:03d}" / proto.replace(":", "-") / f"rep{rep:02d}"
@@ -442,7 +446,7 @@ def cmd_report(run_dir, warmup_frac=DEFAULT_WARMUP_FRAC):
     widths = [max(len(str(r[i])) for r in [header] + rows) for i in range(len(header))]
     for r in [header] + rows:
         print("  ".join(str(v).ljust(w) for v, w in zip(r, widths)))
-    ages = [float(r[3]) for r in rows if r[1] == "one-way" and r[3] != ""]
+    ages = [age for _, _, age, _ in scatter]  # unrounded: a printed 0.000 may be any small age
     if len(ages) > 1:
         print(f"jain_fairness_over_ages  {jain_fairness(ages):.4f}")
     if scatter:
@@ -525,6 +529,24 @@ def _mode(text):
     return text
 
 
+def _address(text):
+    """text as a host:port the live transport can bind or send to."""
+    from .transport import _parse_addr
+
+    _parse_addr(text)
+    return text
+
+
+def _out_file(text):
+    """text as a file the command writes when it ends: its directory must exist."""
+    path = Path(text)
+    if path.is_dir():
+        raise ValueError(f"{text!r} is a directory")
+    if not path.parent.is_dir():
+        raise ValueError(f"directory {str(path.parent)!r} does not exist")
+    return text
+
+
 def _duration(text):
     """text as a live session's length: a finite number of seconds, 0 or more."""
     value = float(text)
@@ -571,21 +593,21 @@ def build_parser():
     p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("source", help="run a live update source")
-    p.add_argument("--peer", required=True)
+    p.add_argument("--peer", type=_arg_type(_address), required=True)
     p.add_argument("--mode", type=_arg_type(_mode), default="acp+")
     p.add_argument("--duration", type=_arg_type(_duration), required=True)
     p.add_argument("--payload-bytes", type=int, default=DEFAULT_PAYLOAD_BYTES)
-    p.add_argument("--listen", default=None)
-    p.add_argument("--out", required=True)
+    p.add_argument("--listen", type=_arg_type(_address), default=None)
+    p.add_argument("--out", type=_arg_type(_out_file), required=True)
 
     p = sub.add_parser("monitor", help="run a live monitor")
-    p.add_argument("--listen", required=True)
+    p.add_argument("--listen", type=_arg_type(_address), required=True)
     p.add_argument("--duration", type=_arg_type(_duration), required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_arg_type(_out_file), required=True)
 
     p = sub.add_parser("proxy", help="run the delay/loss proxy")
-    p.add_argument("--listen", required=True)
-    p.add_argument("--forward", required=True)
+    p.add_argument("--listen", type=_arg_type(_address), required=True)
+    p.add_argument("--forward", type=_arg_type(_address), required=True)
     p.add_argument("--delay-ms", type=float, default=0.0)
     p.add_argument("--delay-dist", choices=("constant", "exponential"), default="constant")
     p.add_argument("--loss", type=float, default=0.0)
@@ -599,7 +621,7 @@ def build_parser():
     p.add_argument("--duration", type=float, default=60.0)
     p.add_argument("--payload-bytes", type=int, default=DEFAULT_PAYLOAD_BYTES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_arg_type(_out_file), default=None)
 
     p = sub.add_parser("rtt-curve", help="round-trip time vs offered load for one station")
     p.add_argument("--service", choices=("deterministic", "exponential"), default="exponential")
@@ -611,7 +633,7 @@ def build_parser():
     p.add_argument("--packets", type=int, default=200_000)
     p.add_argument("--payload-bytes", type=int, default=DEFAULT_PAYLOAD_BYTES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_arg_type(_out_file), default=None)
 
     p = sub.add_parser("report", help="summarize a run directory")
     p.add_argument("run_dir")

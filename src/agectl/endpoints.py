@@ -4,12 +4,13 @@ Each endpoint is a single logical event loop consuming time-ordered events
 (timer due, packet in). The caller owns scheduling. A source has one
 deadline, `deadline()` (`math.inf` when nothing is scheduled); the caller
 calls `fire(now)` once the clock reaches it, and `on_ack(ack, now)` when a
-datagram arrives. `fire(now)` handles everything due at or before `now`,
-earliest first and an epoch close before a send at the same time; before
-the deadline it returns `[]` and changes nothing, and after it the deadline
-is past `now`. Both calls return the updates to transmit, so the same state
-machines run unchanged under the discrete event simulator and over real
-sockets. An ACK may move the deadline either way.
+datagram arrives. Every source runs `SourceBase.fire`: `fire(now)` handles
+everything due at or before `now`, earliest first and an epoch close (acp+
+only) before a send at the same time, and schedules the next send `_gap()`
+after `now`. Before the deadline it returns `[]` and changes nothing, and
+after it the deadline is past `now`. Both calls return the updates to
+transmit, so the same state machines run unchanged under the discrete event
+simulator and over real sockets. An ACK may move the deadline either way.
 
 Backlog is the set of updates sent but not yet acknowledged or superseded.
 An in-sequence ACK for seq n clears everything up to n: the monitor
@@ -153,6 +154,7 @@ class SourceBase:
         self.violations = 0
         self.discarded_acks = 0
         self.next_send_time = math.inf
+        self.next_epoch_time = math.inf  # only acp+ closes epochs
 
     @property
     def backlog(self) -> int:
@@ -164,17 +166,25 @@ class SourceBase:
 
     def deadline(self) -> float:
         """When fire() next has work to do; math.inf for never."""
-        return self.next_send_time
+        send, epoch = self.next_send_time, self.next_epoch_time
+        return epoch if epoch < send else send
 
     def fire(self, now: float) -> list:
-        """Send one update if the send deadline has passed, then schedule the next."""
-        if now < self.next_send_time:
-            return []
-        pkt = self._emit(now)
-        self.next_send_time = now + self._gap()
-        return [pkt]
+        """The one timer loop of every source; see the module doc."""
+        out = []
+        while True:
+            epoch = self.next_epoch_time
+            if epoch <= now and epoch <= self.next_send_time:
+                self._close_epoch(now)
+            # one send per call, so a gap too small to move `now` cannot spin here
+            elif self.next_send_time <= now and not out:
+                out.append(self._emit(now))
+                self.next_send_time = now + self._gap()
+            else:
+                return out
 
     def _gap(self) -> float:
+        """Seconds from a send to the next one."""
         raise NotImplementedError
 
     def _emit(self, now: float) -> UpdatePacket:
@@ -269,11 +279,13 @@ class AcpPlusSource(SourceBase):
         self.rate = BOOTSTRAP_RATE
         self.in_bootstrap = True
         self.epoch_window = None
-        self.next_epoch_time = math.inf
 
     def start(self, now: float) -> list:
         self._open_epochs(now)
-        return [self._emit(now)]
+        return super().start(now)
+
+    def _gap(self):
+        return 1.0 / self.rate
 
     def _open_epochs(self, now):
         """Restart control at the current rate from now: at start() and at the first ACK."""
@@ -282,22 +294,8 @@ class AcpPlusSource(SourceBase):
         self.gamma = 0  # MDEC escalation level
         self.prev_age_avg = self.prev_backlog_avg = None
         self.epoch_window = EpochWindow(now)
-        self.next_send_time = now + 1.0 / self.rate
+        self.next_send_time = now + self._gap()
         self.next_epoch_time = now + epoch_length(self.rate)
-
-    def deadline(self):
-        return min(self.next_send_time, self.next_epoch_time)
-
-    def fire(self, now):
-        out = []
-        while True:
-            if self.next_epoch_time <= min(now, self.next_send_time):
-                self._close_epoch(now)
-            elif self.next_send_time <= now:
-                out.append(self._emit(now))
-                self.next_send_time = now + 1.0 / self.rate
-            else:
-                return out
 
     def _emit(self, now):
         pkt = super()._emit(now)
@@ -332,7 +330,7 @@ class AcpPlusSource(SourceBase):
                 self.flag, self.gamma, b_k, delta_k, backlog_avg)
             self.rate = update_lambda(self.rate, self.estimator.z_bar, self.estimator.rtt_bar,
                                       b_star)
-            self.next_send_time = now + 1.0 / self.rate
+            self.next_send_time = now + self._gap()
 
         self.prev_age_avg, self.prev_backlog_avg = age_avg, backlog_avg
         window.roll(now)

@@ -45,7 +45,10 @@ _TIGHT_SLACK_NS = 1  # the least slack; 0 would reset the thread to its default
 
 
 def _parse_addr(text):
+    """("host", port) of "host:port"; an empty host is 127.0.0.1. ValueError if malformed."""
     host, _, port = text.rpartition(":")
+    if not (port.isdecimal() and int(port) <= 65535):
+        raise ValueError(f"expected host:port with a port in [0, 65535], got {text!r}")
     return (host or "127.0.0.1", int(port))
 
 

@@ -484,6 +484,60 @@ def test_live_duration_must_be_finite_and_not_negative(argv, tmp_path, capsys, m
     assert build_parser().parse_args(argv[:-1] + ["0"]).duration == 0.0
 
 
+@pytest.mark.parametrize("argv, flag, address", [
+    (["monitor", "--listen", "nonsense", "--out", "m.csv"], "--listen", "nonsense"),
+    (["monitor", "--listen", "127.0.0.1:99999", "--out", "m.csv"], "--listen", "127.0.0.1:99999"),
+    (["source", "--peer", "127.0.0.1:notaport", "--out", "s.csv"], "--peer", "127.0.0.1:notaport"),
+    (["source", "--peer", "127.0.0.1:1", "--listen", "127.0.0.1:-1", "--out", "s.csv"],
+     "--listen", "127.0.0.1:-1"),
+    (["proxy", "--listen", ":port", "--forward", "127.0.0.1:1"], "--listen", ":port"),
+    (["proxy", "--listen", "127.0.0.1:0", "--forward", "bogus"], "--forward", "bogus"),
+])
+def test_a_malformed_address_is_a_usage_error_before_any_socket(argv, flag, address, tmp_path,
+                                                                capsys, monkeypatch):
+    from agectl import transport
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(transport, "_bound_socket", lambda addr: pytest.fail("socket bound"))
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--duration", "0.2"])
+    assert exc.value.code == 2
+    assert (f"argument {flag}: expected host:port with a port in [0, 65535], got {address!r}"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["monitor", "--listen", "127.0.0.1:0", "--duration", "0.2"],
+    ["source", "--peer", "127.0.0.1:1", "--duration", "0.2"],
+    ["rtt-curve"],
+])
+@pytest.mark.parametrize("out, message", [
+    ("missing/log.csv", "directory 'missing' does not exist"),
+    (".", "'.' is a directory"),
+])
+def test_an_out_file_that_cannot_be_written_is_a_usage_error(argv, out, message, tmp_path,
+                                                             capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", out])
+    assert exc.value.code == 2
+    assert f"argument --out: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_into_a_file_is_a_one_line_error_that_writes_nothing(tmp_path, capsys):
+    spec = tmp_path / "spec.txt"
+    spec.write_text(TestSpecKeys.MINIMAL)
+    blocker = tmp_path / "runs"
+    blocker.write_text("")
+    assert main(["simulate", str(spec), "--out", str(blocker)]) == 2
+    message = f"simulate: cannot create {blocker / 'experiment'}: Not a directory\n"
+    assert capsys.readouterr().err == message
+    assert sorted(tmp_path.iterdir()) == [blocker, spec]
+    assert blocker.read_text() == ""
+
+
 def test_source_accepts_poisson_mode(tmp_path):
     out = tmp_path / "src.csv"
     assert main(["source", "--peer", "127.0.0.1:1", "--mode", "poisson:50",
@@ -556,6 +610,19 @@ def test_report_rtt_rows_cover_the_horizon_only(tmp_path, capsys):
     assert cmd_report(str(tmp_path)) == 0
     _, count, _, delay = report_rows(capsys)["src_acks"]
     assert (count, delay) == ("90", "40.000")
+
+
+def test_report_takes_fairness_from_unrounded_ages(tmp_path, capsys):
+    # ages of 0.1-0.2 µs print as 0.000 ms; their fairness is still defined
+    for name, k0 in (("mon_a", 1), ("mon_b", 51)):
+        write_monitor_log(tmp_path / f"{name}.csv",
+                          [(k * 1e-7, k, (k - 1) * 100) for k in range(k0, k0 + 50)])
+    assert cmd_report(str(tmp_path)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[3] for line in lines[1:3]] == ["0.000", "0.000"]
+    assert lines[-1] == "jain_fairness_over_ages  1.0000"
+    assert (tmp_path / "delay_vs_age.csv").exists()
+    assert (tmp_path / "throughput_vs_age.csv").exists()
 
 
 def test_rtt_curve_cli(tmp_path, capsys):

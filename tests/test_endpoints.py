@@ -73,6 +73,14 @@ class TestConstantSource:
         assert len(src.fire(src.deadline())) == 1
         assert src.deadline() == pytest.approx(0.02)
 
+    def test_a_gap_below_the_clock_resolution_sends_once_per_fire(self):
+        # 1e-17 s does not move a clock that reads 1 s, so the next send is due at once
+        src = ConstantSource(rate=1e17)
+        src.start(0.0)
+        for _ in range(3):
+            assert len(src.fire(1.0)) == 1
+            assert src.deadline() == 1.0
+
     def test_unacked_sends_accumulate(self):
         src = ConstantSource(rate=1.0)
         src.start(0.0)
@@ -497,7 +505,7 @@ class SourceContract(RuleBasedStateMachine):
         rate = getattr(src, "rate", None)
         self.now = now
         self.sent += src.fire(now)
-        assert src.deadline() > now  # neither loop can spin
+        assert src.deadline() > now  # the timer loop cannot spin
         if isinstance(src, AcpPlusSource):  # at most one epoch closes per call
             assert 0.75 * rate <= src.rate <= 1.25 * rate and src.rate > 0
 
