@@ -80,3 +80,32 @@ def test_simulate_outputs_match_golden(jobs, tmp_path, monkeypatch):
     assert sorted(got) == sorted(expected)
     changed = sorted(p for p in expected if got[p] != expected[p])
     assert changed == []
+
+
+REPORT_GOLDEN = Path(__file__).with_name("golden_report.sha256")
+
+
+def test_report_outputs_match_golden(tmp_path, capsys):
+    # `agectl report` on the acp+ run of the golden spec: 12 monitor logs
+    # (one-way ages) and 12 ACK logs (RTT-based ages). `golden_report.sha256`
+    # holds the digest of every file the report writes and, as `stdout`,
+    # of what it prints.
+    spec = tmp_path / "spec.txt"
+    spec.write_text(SPEC)
+    assert cli.cmd_simulate(str(spec), str(tmp_path / "runs"), jobs=1) == 0
+    run_dir = tmp_path / "runs" / "golden" / "sources-012" / "acp+" / "rep00"
+    before = {p.name for p in run_dir.iterdir()}
+    capsys.readouterr()
+    assert cli.cmd_report(str(run_dir)) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in run_dir.iterdir() if p.name not in before}
+    got["stdout"] = hashlib.sha256(out.encode()).hexdigest()
+    expected = {}
+    for line in REPORT_GOLDEN.read_text().splitlines():
+        digest, path = line.split()
+        expected[path] = digest
+    assert sorted(got) == sorted(expected)
+    changed = sorted(p for p in expected if got[p] != expected[p])
+    assert changed == []
