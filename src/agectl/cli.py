@@ -17,6 +17,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import signal
 import statistics
 import sys
@@ -174,6 +175,8 @@ class ExperimentSpec:
         self.text = text
         run = {key: top.pop(key) for key in RUN_KEYS if key in top}
         self.name = str(run.get("name", "experiment"))
+        if self.name in ("", ".", "..") or "/" in self.name or os.sep in self.name:
+            raise SpecError(f"name must be one directory name, got {self.name!r}")
         self.repetitions = _convert(run.get("repetitions", 1), int, "repetitions")
         if self.repetitions < 1:
             raise SpecError("repetitions must be >= 1")
@@ -190,6 +193,8 @@ class ExperimentSpec:
             raise SpecError(f"source counts must be >= 1, got {min(self.source_counts)}")
         protocols = _as_list(run.get("protocols", run.get("protocol", SimConfig.protocol)))
         self.protocols = [str(p) for p in protocols]
+        if len(set(self.protocols)) != len(self.protocols):
+            raise SpecError("protocols must be distinct")
         for mode in self.protocols:
             try:
                 parse_mode(mode)
@@ -460,7 +465,7 @@ def cmd_report(run_dir, warmup_frac=DEFAULT_WARMUP_FRAC):
 
 
 def _export_trace(path, trace):
-    write_rows(path, ("time", "age"), [(f"{t:.9f}", f"{a:.9f}") for t, a in trace.breakpoints])
+    write_rows(path, ("time", "age"), [(f"{t:.9f}", f"{a:.9f}") for t, a in trace])
 
 
 # -- small subcommands

@@ -293,7 +293,7 @@ class AcpPlusSource(SourceBase):
         self.flag = False  # set by a backlog-up/age-up epoch, cleared by INC or a plain DEC
         self.gamma = 0  # MDEC escalation level
         self.prev_age_avg = self.prev_backlog_avg = None
-        self.epoch_window = EpochWindow(now)
+        self.epoch_window = EpochWindow(now, (now, 0.0))
         self.next_send_time = now + self._gap()
         self.next_epoch_time = now + epoch_length(self.rate)
 
@@ -309,7 +309,8 @@ class AcpPlusSource(SourceBase):
             self.in_bootstrap = False
             self.rate = 1.0 / self.estimator.rtt_bar
             self._open_epochs(now)
-        self.epoch_window.ack(now, rtt, len(self.outstanding))
+        self.epoch_window.reset(now, rtt)
+        self.epoch_window.step(now, len(self.outstanding))
         return []
 
     def _close_epoch(self, now):

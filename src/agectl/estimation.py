@@ -5,7 +5,8 @@ acknowledged updates and the gap between consecutive ACK arrivals (a proxy
 for the inter-delivery time at the monitor). Per control epoch, an
 EpochWindow that the source feeds at each send and each ACK gives the
 time-average age and time-average backlog over that epoch, from running
-sums: control never reads the source's logs.
+sums: control never reads the source's logs. The same window integrates
+the offline averages in `metrics`.
 """
 
 DEFAULT_SMOOTHING = 0.875  # retention weight on the previous estimate
@@ -62,25 +63,25 @@ class NetworkEstimator:
 
 
 class EpochWindow:
-    """Running sums for one control epoch, fed by the acp+ source.
+    """Running areas of the age sawtooth and a step function over one epoch.
 
-    The source calls `ack(time, rtt, backlog)` per in-sequence ACK and
-    `step(time, backlog)` per send, in time order. The age resets to the
-    RTT at each ACK and grows at slope one in between. The window keeps the
-    epoch's age and backlog areas, the last reset, the backlog level and an
-    ACK count. It adds one piece per event, as `metrics.time_average_age`
-    and `metrics.step_average` do, so its averages equal theirs bit for
-    bit: an event at the close instant adds a zero piece to the closing
-    epoch and carries into the next. A new window starts at zero age and
-    zero backlog.
+    Fed in time order: `reset(time, age)` where the age drops to `age`,
+    after which it grows at slope one, and `step(time, level)` where the
+    level (the acp+ source's backlog) changes. Each event adds one exact
+    piece to its area, so the averages are exact trapezoid and step
+    integrals. This is the only age integrator: the acp+ source keeps one
+    window per control epoch, and `metrics` drives one over a horizon. An
+    event at the close instant adds a zero piece to the closing epoch and
+    carries into the next.
     """
 
-    def __init__(self, start: float):
-        self.reset_time, self.reset_age, self.level = start, 0.0, 0
+    def __init__(self, start: float, last_reset: tuple, level=0):
+        """Open at `start`, on the sawtooth's last reset (time, age) at or before it."""
+        self.last_reset, self.level = last_reset, level
         self.roll(start)
 
     def roll(self, start: float) -> None:
-        """Open the next epoch at `start`, carrying the last reset and the backlog level."""
+        """Open the next epoch at `start`, carrying the last reset and the level."""
         self.start = self.level_time = start
         self.age_area = self.backlog_area = 0.0
         self.acks = 0
@@ -88,29 +89,29 @@ class EpochWindow:
     def _age_from(self):
         """(time, age) where the age integral stands: the epoch start, or its last reset."""
         if self.acks:
-            return self.reset_time, self.reset_age
-        return self.start, self.reset_age + (self.start - self.reset_time)
+            return self.last_reset
+        t, age = self.last_reset
+        return self.start, age + (self.start - t)
 
-    def ack(self, time: float, rtt: float, backlog: int) -> None:
-        """An in-sequence ACK at `time`: the age resets to `rtt` and the backlog steps."""
-        t, age = self._age_from()
+    def reset(self, time: float, age: float) -> None:
+        """The age drops to `age` at `time` (an in-sequence ACK, or a delivery)."""
+        t, a = self._age_from()
         d = time - t
-        self.age_area += age * d + 0.5 * d * d
-        self.reset_time, self.reset_age = time, rtt
+        self.age_area += a * d + 0.5 * d * d
+        self.last_reset = time, age
         self.acks += 1
-        self.step(time, backlog)
 
-    def step(self, time: float, backlog: int) -> None:
-        """The backlog becomes `backlog` at `time`."""
+    def step(self, time: float, level) -> None:
+        """The level becomes `level` at `time`."""
         self.backlog_area += self.level * (time - self.level_time)
-        self.level_time, self.level = time, backlog
+        self.level_time, self.level = time, level
 
     def age_average(self, end: float) -> float:
         """Time-average of the age sawtooth over [start, end]."""
         t, age = self._age_from()
-        d = end - t  # the last piece is one term, as metrics adds it: this keeps the last bits
+        d = end - t  # the last piece is one term, added as the others: this keeps the last bits
         return (self.age_area + (age * d + 0.5 * d * d)) / (end - self.start)
 
     def backlog_average(self, end: float) -> float:
-        """Time-weighted mean of the backlog over [start, end]."""
+        """Time-weighted mean of the level over [start, end]."""
         return (self.backlog_area + self.level * (end - self.level_time)) / (end - self.start)

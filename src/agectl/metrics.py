@@ -4,35 +4,21 @@ The central object is the age sawtooth: instantaneous age grows at slope
 one and drops to (receive_time - gen_ts) whenever a fresher update lands.
 In simulation the drop value is the one-way delivery delay; over real
 sockets only the source clock is trusted, so the round-trip time stands in
-for it and the same sawtooth is built from the source's ACK log.
+for it and the same sawtooth is built from the source's ACK log. A trace
+is a tuple of time-ordered (time, age) points: the age drops to `age` at
+`time` and grows at slope one until the next point. The estimation
+module's EpochWindow integrates it, and every step function, over a
+horizon.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
+
+from .estimation import EpochWindow
 
 DEFAULT_WARMUP_FRAC = 0.10
-
-
-@dataclass(frozen=True)
-class AgeTrace:
-    """Piecewise-linear age sawtooth.
-
-    breakpoints: time-ordered (time, age) pairs; between consecutive
-    entries the age is breakpoints[i].age + (t - breakpoints[i].time).
-    The first entry anchors the trajectory at the start of the horizon.
-    """
-
-    breakpoints: tuple
-
-    def age_at(self, t: float) -> float:
-        if not self.breakpoints or t < self.breakpoints[0][0]:
-            raise ValueError(f"time {t} precedes the trace anchor")
-        ref_t, ref_a = self.breakpoints[0]
-        for bt, ba in self.breakpoints:
-            if bt > t:
-                break
-            ref_t, ref_a = bt, ba
-        return ref_a + (t - ref_t)
 
 
 def default_horizon(t_begin: float, t_end: float, warmup_frac: float = DEFAULT_WARMUP_FRAC):
@@ -58,7 +44,7 @@ def _split_at_horizon(log, horizon):
     return before, inside
 
 
-def age_trace_from_deliveries(log, horizon, run_start=None) -> AgeTrace:
+def age_trace_from_deliveries(log, horizon, run_start=None) -> tuple:
     """Sawtooth from monitor deliveries: resets to r - g at each receive.
 
     log: time-ordered (receive_time, gen_ts_seconds) with strictly
@@ -76,10 +62,10 @@ def age_trace_from_deliveries(log, horizon, run_start=None) -> AgeTrace:
         if run_start is None:
             raise ValueError("horizon starts before the first update was generated")
         anchor_age = t0 - run_start
-    return AgeTrace(breakpoints=tuple([(t0, anchor_age)] + [(r, r - g) for r, g in inside]))
+    return ((t0, anchor_age), *((r, r - g) for r, g in inside))
 
 
-def age_trace_from_rtt_samples(ack_log, horizon) -> AgeTrace:
+def age_trace_from_rtt_samples(ack_log, horizon) -> tuple:
     """Sawtooth from the source's ACK log: resets to the RTT sample.
 
     ack_log: time-ordered (ack_time, rtt_seconds). This is the round-trip
@@ -92,52 +78,41 @@ def age_trace_from_rtt_samples(ack_log, horizon) -> AgeTrace:
     anchor_age = rtt + (t0 - ack_time)
     if anchor_age < 0:
         raise ValueError("horizon starts before the first update was generated")
-    return AgeTrace(breakpoints=tuple([(t0, anchor_age)] + inside))
+    return ((t0, anchor_age), *inside)
 
 
-def time_average_age(trace: AgeTrace, horizon) -> float:
-    """Exact trapezoid integral of the sawtooth over the horizon, divided by its length."""
-    pts = trace.breakpoints
+def time_average_age(trace, horizon) -> float:
+    """Exact trapezoid integral of the sawtooth over the horizon, divided by its length.
+
+    The age at the horizon start continues from the last point at or before it.
+    """
     t0, t1 = horizon
     if t1 <= t0:
         raise ValueError("empty horizon")
-    if t0 < pts[0][0]:
+    k = bisect_right(trace, t0, key=itemgetter(0))
+    if not k:
         raise ValueError("trace does not cover the horizon start")
-    total = 0.0
-    t, age = t0, trace.age_at(t0)
-    for bt, ba in pts:
-        if bt <= t0:
-            continue
-        if bt >= t1:
+    window = EpochWindow(t0, trace[k - 1])
+    for t, age in trace[k:]:
+        if t >= t1:
             break
-        d = bt - t
-        total += age * d + 0.5 * d * d
-        t, age = bt, ba
-    d = t1 - t
-    total += age * d + 0.5 * d * d
-    return total / (t1 - t0)
+        window.reset(t, age)
+    return window.age_average(t1)
 
 
 def step_average(steps, t0: float, t1: float) -> float:
-    """Time-weighted mean of a step function given as (time, value) pairs.
+    """Time-weighted mean of a step function given as time-ordered (time, value) pairs.
 
     The value at t0 is the last step at or before t0 (0 if none).
     """
     if t1 <= t0:
         raise ValueError("empty horizon")
-    total = 0.0
-    t = t0
-    level = 0.0
-    for st, v in steps:
-        if st <= t0:
-            level = v
-            continue
-        if st >= t1:
+    window = EpochWindow(t0, (t0, 0.0))
+    for t, value in steps:
+        if t >= t1:
             break
-        total += level * (st - t)
-        t, level = st, v
-    total += level * (t1 - t)
-    return total / (t1 - t0)
+        window.step(max(t, t0), value)  # a step before t0 sets the level at t0
+    return window.backlog_average(t1)
 
 
 def jain_fairness(values) -> float:

@@ -170,6 +170,13 @@ class TestSpecKeys:
     ("[weird]\n", "line 1: unknown section [weird]"),
     (TestSpecKeys.MINIMAL.replace("duration", "duraton"), "top level: unknown key 'duraton'"),
     (TestSpecKeys.MINIMAL.replace("6e6", "-1"), "[station 1]: station rate must be positive"),
+    ("protocols = acp+,acp+\n" + TestSpecKeys.MINIMAL, "protocols must be distinct"),
+    ("name = ..\n" + TestSpecKeys.MINIMAL, "name must be one directory name, got '..'"),
+    ("name = .\n" + TestSpecKeys.MINIMAL, "name must be one directory name, got '.'"),
+    ("name =\n" + TestSpecKeys.MINIMAL, "name must be one directory name, got ''"),
+    ("name = a/b\n" + TestSpecKeys.MINIMAL, "name must be one directory name, got 'a/b'"),
+    ("name = /nonexistent/abs\n" + TestSpecKeys.MINIMAL,
+     "name must be one directory name, got '/nonexistent/abs'"),
     ("protocols = acp+,tcp\n" + TestSpecKeys.MINIMAL,
      "protocols: unknown mode 'tcp': use acp+, lazy, constant:<rate> or poisson:<rate>"),
     ("protocol = constant:0\n" + TestSpecKeys.MINIMAL,

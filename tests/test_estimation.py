@@ -1,12 +1,13 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from agectl.endpoints import AcpPlusSource
 from agectl.estimation import EpochWindow, NetworkEstimator, ewma_update
-from agectl.metrics import AgeTrace, step_average, time_average_age
+from agectl.metrics import step_average, time_average_age
 from agectl.wire import AckPacket
 
 
@@ -72,14 +73,7 @@ def make_window(start=0.0, anchor=None, backlog=0):
     epoch of one that saw its last ACK there, so its sawtooth carries on
     from that reset.
     """
-    if anchor is None:
-        w = EpochWindow(start)
-        w.step(start, backlog)
-        return w
-    w = EpochWindow(anchor[0])
-    w.ack(*anchor, backlog)
-    w.roll(start)
-    return w
+    return EpochWindow(start, (start, 0.0) if anchor is None else anchor, backlog)
 
 
 class TestEpochAge:
@@ -87,15 +81,15 @@ class TestEpochAge:
         # acks at 0 and 0.5 with rtt 0.1: each half ramps 0.1 -> 0.6,
         # averaging (0.1 + 0.6) / 2 = 0.35
         w = make_window()
-        w.ack(0.0, 0.1, 0)
-        w.ack(0.5, 0.1, 0)
+        w.reset(0.0, 0.1)
+        w.reset(0.5, 0.1)
         assert w.age_average(1.0) == pytest.approx(0.35)
 
     def test_single_ack_ramp(self):
         # one ack at the window start: average is rtt + length / 2
         for r, length in [(0.05, 1.0), (0.2, 2.5)]:
             w = make_window()
-            w.ack(0.0, r, 0)
+            w.reset(0.0, r)
             assert w.age_average(length) == pytest.approx(r + length / 2)
 
     def test_shift_all_samples_by_constant(self):
@@ -107,15 +101,15 @@ class TestEpochAge:
         w1, w2 = make_window(), make_window()
         c = 0.037
         for t, r in zip(times, rtts):
-            w1.ack(t, r, 0)
-            w2.ack(t, r + c, 0)
+            w1.reset(t, r)
+            w2.reset(t, r + c)
         assert w2.age_average(1.0) - w1.age_average(1.0) == pytest.approx(c)
 
     def test_acks_count_this_epochs_acks(self):
         w = make_window()
         assert w.acks == 0
-        w.ack(0.5, 0.1, 0)
-        w.ack(1.0, 0.1, 0)  # at the close instant: still this epoch's
+        w.reset(0.5, 0.1)
+        w.reset(1.0, 0.1)  # at the close instant: still this epoch's
         assert w.acks == 2
         w.roll(1.0)
         assert w.acks == 0
@@ -124,7 +118,7 @@ class TestEpochAge:
         # anchor (t=-1, age=0.2): at window start age is 0.2 + 1 = 1.2,
         # one ack at 0.5 resets to 0.1; integral = ramp(1.2, 0.5) + ramp(0.1, 0.5)
         w = make_window(start=0.0, anchor=(-1.0, 0.2))
-        w.ack(0.5, 0.1, 0)
+        w.reset(0.5, 0.1)
         expected = (1.2 * 0.5 + 0.5 * 0.25) + (0.1 * 0.5 + 0.5 * 0.25)
         assert w.age_average(1.0) == pytest.approx(expected)
 
@@ -139,7 +133,7 @@ class TestEpochAge:
             w = make_window()
             events = [(t, round(rng.uniform(0.01, 0.3), 5)) for t in sorted(set(times))]
             for t, r in events:
-                w.ack(t, r, 0)
+                w.reset(t, r)
             exact = w.age_average(1.0)
             total = 0.0
             cells = int(round(1.0 / step))
@@ -177,58 +171,91 @@ class TestEpochBacklog:
         assert w1.backlog_average(1.0) == pytest.approx(w2.backlog_average(1.0))
 
     def test_an_ack_steps_the_backlog(self):
-        # backlog 3 on [0, 0.25), then the ACK clears it to 1
+        # backlog 3 on [0, 0.25), then the ACK clears it to 1; the acp+
+        # source resets the age and steps the backlog at each ACK
         w = make_window(backlog=3)
-        w.ack(0.25, 0.1, 1)
+        w.reset(0.25, 0.1)
+        w.step(0.25, 1)
         assert w.backlog_average(1.0) == pytest.approx(0.75 + 0.75)
 
 
 class TestRoll:
     def test_roll_carries_anchor_and_level(self):
         w = make_window(backlog=1)
-        w.ack(0.7, 0.05, 1)
+        w.reset(0.7, 0.05)
         w.step(0.9, 4)
         w.roll(1.0)
         assert w.start == 1.0
-        assert w.reset_time == 0.7 and w.reset_age == 0.05
+        assert w.last_reset == (0.7, 0.05)
         assert w.backlog_average(1.5) == 4.0
         # the new window starts on the old trajectory (age 0.05 + 0.3 at 1.0)
         # and ramps over 0.2 s to its first ACK: mean 0.35 + 0.1
-        w.ack(1.2, 0.01, 4)
+        w.reset(1.2, 0.01)
         assert w.age_average(1.2) == pytest.approx(0.05 + 0.3 + 0.1)
 
     def test_roll_without_acks_keeps_old_anchor(self):
         w = make_window(anchor=(-0.5, 0.0))
         w.roll(1.0)
-        assert w.reset_time == -0.5
-        w.ack(1.2, 0.01, 0)
+        assert w.last_reset == (-0.5, 0.0)
+        w.reset(1.2, 0.01)
         assert w.age_average(1.2) == pytest.approx(1.5 + 0.1)
 
     def test_a_new_window_starts_at_zero_backlog(self):
         # a source opens its first window before it logs its first send
-        w = EpochWindow(0.0)
+        w = EpochWindow(0.0, (0.0, 0.0))
         w.step(0.6, 2)
         assert w.backlog_average(1.0) == pytest.approx(0.8)
-        w = EpochWindow(0.0)
+        w = EpochWindow(0.0, (0.0, 0.0))
         w.roll(0.5)
         w.step(0.6, 2)
         assert w.backlog_average(1.0) == pytest.approx(1.6)
 
 
 def offline_averages(ack_log, backlog_trace, anchor, t0, t1):
-    """The epoch's averages from the full logs, by the offline integrators."""
-    trace = AgeTrace((anchor, *((t, rtt) for t, _, rtt in ack_log)))
+    """The epoch's averages from the full logs, by the offline drivers of the window."""
+    trace = (anchor, *((t, rtt) for t, _, rtt in ack_log))
     return time_average_age(trace, (t0, t1)), step_average(backlog_trace, t0, t1)
 
 
+def exact_averages(ack_log, backlog_trace, anchor, t0, t1):
+    """The epoch's averages from the full logs, in exact rational arithmetic.
+
+    Over the exact values of the logged floats, each sawtooth piece is a
+    difference of squares and each step piece a rectangle, clipped to
+    [t0, t1]. The backlog is 0 until its first step.
+    """
+    t0, t1 = Fraction(t0), Fraction(t1)
+
+    def pieces(points):
+        """(a, b, time, value) for each point's stretch, clipped to [t0, t1]."""
+        ends = [Fraction(t) for t, _ in points[1:]] + [t1]
+        for (t, value), end in zip(points, ends):
+            a, b = max(Fraction(t), t0), min(end, t1)
+            if a < b:
+                yield a, b, Fraction(t), Fraction(value)
+
+    age_area = sum(((age + b - t) ** 2 - (age + a - t) ** 2) / 2
+                   for a, b, t, age in pieces([anchor] + [(t, rtt) for t, _, rtt in ack_log]))
+    backlog_area = sum(level * (b - a)
+                       for a, b, _, level in pieces([(anchor[0], 0)] + list(backlog_trace)))
+    return age_area / (t1 - t0), backlog_area / (t1 - t0)
+
+
+# the largest relative errors of the window's averages against
+# exact_averages over the 300 seeds below are 3.77e-16 (age) and 3.83e-16
+# (backlog), both under two units in the last place
+EXACT_REL = 4e-16
+
+
 class TestRunningSumsMatchTheOfflineIntegrators:
-    """The window's averages equal, bit for bit, those integrated from the full logs."""
+    """The window's averages equal, bit for bit, those its offline drivers integrate
+    from the full logs, and come within EXACT_REL of the exact averages."""
 
     def drive(self, seed):
         """Random sends, ACKs and closes on a 10 ms grid, so that many of them tie."""
         rng = random.Random(seed)
         start = round(rng.uniform(0, 1), 2)
-        w = EpochWindow(start)
+        w = EpochWindow(start, (start, 0.0))
         ack_log, backlog_trace, backlog = [], [], 0
         epoch_start, acks, checked = start, 0, []
         closes = sorted({round(start + rng.uniform(0.01, 3), 2) for _ in range(rng.randint(1, 8))})
@@ -251,11 +278,15 @@ class TestRunningSumsMatchTheOfflineIntegrators:
                 rtt = rng.uniform(0.001, 0.5)
                 ack_log.append((t, len(ack_log), rtt))
                 backlog_trace.append((t, backlog))
-                w.ack(t, rtt, backlog)
+                w.reset(t, rtt)
+                w.step(t, backlog)
                 acks += 1
             else:
-                expected = offline_averages(ack_log, backlog_trace, (start, 0.0), epoch_start, t)
-                assert (w.age_average(t), w.backlog_average(t)) == expected
+                got = w.age_average(t), w.backlog_average(t)
+                assert got == offline_averages(ack_log, backlog_trace, (start, 0.0), epoch_start, t)
+                exact = exact_averages(ack_log, backlog_trace, (start, 0.0), epoch_start, t)
+                for value, ref in zip(got, exact):
+                    assert abs(Fraction(value) - ref) <= EXACT_REL * ref
                 assert w.acks == acks
                 checked.append(acks)
                 w.roll(t)
@@ -270,9 +301,9 @@ class TestRunningSumsMatchTheOfflineIntegrators:
     def test_the_last_piece_is_added_as_one_term(self):
         # here (area + age * d) + 0.5 * d * d rounds differently from
         # area + (age * d + 0.5 * d * d), which is the offline integrator's sum
-        w = EpochWindow(0.0)
-        w.ack(0.0, 0.36, 1)
-        w.ack(0.76, 0.01, 0)
+        w = EpochWindow(0.0, (0.0, 0.0))
+        w.reset(0.0, 0.36)
+        w.reset(0.76, 0.01)
         expected, _ = offline_averages([(0.0, 0, 0.36), (0.76, 1, 0.01)], [], (0.0, 0.0),
                                        0.0, 1.21)
         assert w.age_average(1.21) == expected

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from agectl.metrics import (
-    AgeTrace,
     age_trace_from_deliveries,
     age_trace_from_rtt_samples,
     default_horizon,
@@ -16,16 +15,22 @@ from agectl.metrics import (
 )
 
 
+def age_at(trace, t):
+    """The sawtooth's age at t: that of its last point at or before t, plus the time since."""
+    ref_t, ref_a = [p for p in trace if p[0] <= t][-1]
+    return ref_a + (t - ref_t)
+
+
 class TestAgeTrace:
     def test_three_delivery_sawtooth(self):
         # deliveries at 0.5, 1.5, 2.5 of updates generated at 0, 1, 2:
         # every reset lands at age 0.5 and each ramp peaks at 1.5
         log = [(0.5, 0.0), (1.5, 1.0), (2.5, 2.0)]
         trace = age_trace_from_deliveries(log, (0.5, 2.5))
-        assert trace.breakpoints[0] == (0.5, 0.5)
+        assert trace[0] == (0.5, 0.5)
         for r, g in log:
-            assert trace.age_at(r) == pytest.approx(r - g)
-        assert trace.age_at(1.5 - 1e-12) == pytest.approx(1.5, abs=1e-9)
+            assert age_at(trace, r) == pytest.approx(r - g)
+        assert age_at(trace, 1.5 - 1e-12) == pytest.approx(1.5, abs=1e-9)
         assert time_average_age(trace, (0.5, 2.5)) == pytest.approx(1.0)
 
     def test_zero_delay_periodic(self):
@@ -54,7 +59,7 @@ class TestAgeTrace:
         log = [(0.5, 0.4), (3.0, 2.9)]
         trace = age_trace_from_deliveries(log, (1.0, 4.0))
         # at t0=1.0 the freshest update is the 0.5 delivery: age 1.0 - 0.4
-        assert trace.age_at(1.0) == pytest.approx(0.6)
+        assert age_at(trace, 1.0) == pytest.approx(0.6)
 
     def test_lost_first_updates_anchor_at_run_start(self):
         # every update generated before the horizon start 0.75 was lost; the
@@ -63,7 +68,7 @@ class TestAgeTrace:
         with pytest.raises(ValueError, match="horizon starts before"):
             age_trace_from_deliveries(log, (0.75, 3.0))
         trace = age_trace_from_deliveries(log, (0.75, 3.0), run_start=0.0)
-        assert trace.breakpoints == ((0.75, 0.75), (1.25, 0.25), (2.25, 0.25))
+        assert trace == ((0.75, 0.75), (1.25, 0.25), (2.25, 0.25))
 
     def test_run_start_unused_when_first_update_precedes_horizon(self):
         log = [(1.25, 0.5), (2.25, 2.0)]
@@ -76,17 +81,16 @@ class TestAgeTrace:
         samples = [(0.5, 0.1), (0.8, 0.2), (1.4, 0.15)]
         t1 = age_trace_from_rtt_samples(samples, (0.5, 2.0))
         t2 = age_trace_from_deliveries([(t, t - r) for t, r in samples], (0.5, 2.0))
-        assert t1.breakpoints == tuple(samples)
-        assert [t for t, _ in t1.breakpoints] == [t for t, _ in t2.breakpoints]
-        assert ([a for _, a in t1.breakpoints]
-                == pytest.approx([a for _, a in t2.breakpoints], abs=1e-15))
+        assert t1 == tuple(samples)
+        assert [t for t, _ in t1] == [t for t, _ in t2]
+        assert [a for _, a in t1] == pytest.approx([a for _, a in t2], abs=1e-15)
 
     def test_rtt_breakpoints_are_the_samples_exactly(self):
         # 1000.1 - (1000.1 - 0.0123) is 0.012299999999981992 in floating point
         samples = [(1000.0, 0.0125), (1000.1, 0.0123), (1000.3, 0.0121)]
         trace = age_trace_from_rtt_samples(samples, (1000.05, 1000.3))
-        assert trace.breakpoints[1:] == ((1000.1, 0.0123), (1000.3, 0.0121))
-        assert trace.breakpoints[0] == (1000.05, 0.0125 + (1000.05 - 1000.0))
+        assert trace[1:] == ((1000.1, 0.0123), (1000.3, 0.0121))
+        assert trace[0] == (1000.05, 0.0125 + (1000.05 - 1000.0))
 
 
 class TestTimeAverageAge:
@@ -130,9 +134,8 @@ class TestTimeAverageAge:
         assert up - base == pytest.approx(c)
 
     def test_empty_horizon_rejected(self):
-        trace = AgeTrace(breakpoints=((0.0, 0.0),))
         with pytest.raises(ValueError):
-            time_average_age(trace, (1.0, 1.0))
+            time_average_age(((0.0, 0.0),), (1.0, 1.0))
 
 
 class TestJain:
