@@ -85,20 +85,15 @@ class EpochWindow:
         self.start = self.level_time = start
         self.age_area = self.backlog_area = 0.0
         self.acks = 0
-
-    def _age_from(self):
-        """(time, age) where the age integral stands: the epoch start, or its last reset."""
-        if self.acks:
-            return self.last_reset
         t, age = self.last_reset
-        return self.start, age + (self.start - t)
+        self.since = start, age + (start - t)  # (time, age) where the age integral stands
 
     def reset(self, time: float, age: float) -> None:
         """The age drops to `age` at `time` (an in-sequence ACK, or a delivery)."""
-        t, a = self._age_from()
+        t, a = self.since
         d = time - t
         self.age_area += a * d + 0.5 * d * d
-        self.last_reset = time, age
+        self.since = self.last_reset = time, age
         self.acks += 1
 
     def step(self, time: float, level) -> None:
@@ -108,8 +103,8 @@ class EpochWindow:
 
     def age_average(self, end: float) -> float:
         """Time-average of the age sawtooth over [start, end]."""
-        t, age = self._age_from()
-        d = end - t  # the last piece is one term, added as the others: this keeps the last bits
+        t, age = self.since
+        d = end - t  # the last piece is one term like every other: split, it rounds differently
         return (self.age_area + (age * d + 0.5 * d * d)) / (end - self.start)
 
     def backlog_average(self, end: float) -> float:

@@ -93,10 +93,11 @@ def time_average_age(trace, horizon) -> float:
     if not k:
         raise ValueError("trace does not cover the horizon start")
     window = EpochWindow(t0, trace[k - 1])
+    reset = window.reset
     for t, age in trace[k:]:
         if t >= t1:
             break
-        window.reset(t, age)
+        reset(t, age)
     return window.age_average(t1)
 
 
@@ -107,11 +108,13 @@ def step_average(steps, t0: float, t1: float) -> float:
     """
     if t1 <= t0:
         raise ValueError("empty horizon")
-    window = EpochWindow(t0, (t0, 0.0))
-    for t, value in steps:
+    k = bisect_right(steps, t0, key=itemgetter(0))
+    window = EpochWindow(t0, (t0, 0.0), steps[k - 1][1] if k else 0)
+    step = window.step
+    for t, value in steps[k:]:
         if t >= t1:
             break
-        window.step(max(t, t0), value)  # a step before t0 sets the level at t0
+        step(t, value)
     return window.backlog_average(t1)
 
 

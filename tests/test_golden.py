@@ -1,4 +1,5 @@
-"""Golden outputs: `agectl simulate` replays a fixed spec byte for byte.
+"""Golden outputs: `agectl simulate` replays a fixed spec byte for byte, and
+`agectl report` on one of its runs writes and prints the same bytes.
 
 The spec runs acp+, lazy and a Poisson source over a multiaccess uplink
 crowded enough to collide, ahead of an exponential station whose small
@@ -7,6 +8,7 @@ the expected digest of every file in the output tree. A change that is
 meant to move an output must say why and regenerate that file with
 `sha256sum` over a fresh output tree. The tree must not depend on whether
 the runs share one process or spread over a process pool.
+`golden_report.sha256` holds the report's digests in the same format.
 """
 
 import hashlib
@@ -17,6 +19,7 @@ import pytest
 from agectl import cli
 
 GOLDEN = Path(__file__).with_name("golden_simulate.sha256")
+REPORT_GOLDEN = Path(__file__).with_name("golden_report.sha256")
 
 SPEC = """
 name = golden
@@ -48,6 +51,17 @@ prop_delay = 0.001
 """
 
 
+def assert_digests(got, golden):
+    """`got` ({path: sha256}) names the files of `golden` (sha256sum format), with their digests."""
+    expected = {}
+    for line in golden.read_text().splitlines():
+        digest, path = line.split()
+        expected[path] = digest
+    assert sorted(got) == sorted(expected)
+    changed = sorted(p for p in expected if got[p] != expected[p])
+    assert changed == []
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_simulate_outputs_match_golden(jobs, tmp_path, monkeypatch):
     results = []
@@ -73,16 +87,7 @@ def test_simulate_outputs_match_golden(jobs, tmp_path, monkeypatch):
     top = tmp_path / "runs" / "golden"
     got = {p.relative_to(top).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
            for p in top.rglob("*") if p.is_file()}
-    expected = {}
-    for line in GOLDEN.read_text().splitlines():
-        digest, path = line.split()
-        expected[path] = digest
-    assert sorted(got) == sorted(expected)
-    changed = sorted(p for p in expected if got[p] != expected[p])
-    assert changed == []
-
-
-REPORT_GOLDEN = Path(__file__).with_name("golden_report.sha256")
+    assert_digests(got, GOLDEN)
 
 
 def test_report_outputs_match_golden(tmp_path, capsys):
@@ -102,10 +107,4 @@ def test_report_outputs_match_golden(tmp_path, capsys):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in run_dir.iterdir() if p.name not in before}
     got["stdout"] = hashlib.sha256(out.encode()).hexdigest()
-    expected = {}
-    for line in REPORT_GOLDEN.read_text().splitlines():
-        digest, path = line.split()
-        expected[path] = digest
-    assert sorted(got) == sorted(expected)
-    changed = sorted(p for p in expected if got[p] != expected[p])
-    assert changed == []
+    assert_digests(got, REPORT_GOLDEN)
