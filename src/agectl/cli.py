@@ -67,27 +67,8 @@ class SpecError(ValueError):
     pass
 
 
-def _coerce(value):
-    text = value.strip()
-    low = text.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
-    if low in ("none", "unbounded"):
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 def parse_spec(text):
-    """Flat key = value lines plus repeatable [station] / [multiaccess] blocks."""
+    """Flat key = value lines plus repeatable [station] / [multiaccess] blocks; values as text."""
     top = {}
     stations = []
     multiaccess = None
@@ -110,25 +91,31 @@ def parse_spec(text):
         if "=" not in line:
             raise SpecError(f"line {lineno}: expected key = value")
         key, _, value = line.partition("=")
-        key = key.strip().lower()
-        if "," in value:
-            section[key] = [_coerce(v) for v in value.split(",")]
-        else:
-            section[key] = _coerce(value)
+        section[key.strip().lower()] = value.strip()
     return top, stations, multiaccess
 
 
-def _convert(value, kind, key):
-    """A spec value as a field of type `kind`; an int field takes only integral numbers."""
+_WORDS = {"true": True, "yes": True, "on": True, "false": False, "no": False, "off": False}
+
+
+def _convert(text, kind, key):
+    """Spec text as a value of the field type `kind`; an int takes only integral numbers."""
     kinds = typing.get_args(kind) or (kind,)
     base = kinds[0]
-    if value is None and type(None) in kinds or type(value) is base:
-        return value
-    if base is float and type(value) is int:
-        return float(value)
-    if base is int and type(value) is float and value.is_integer():
-        return int(value)
-    raise SpecError(f"{key} must be {base.__name__}, got {value!r}")
+    if type(None) in kinds and text.lower() in ("none", "unbounded"):
+        return None
+    try:
+        if base in (str, bool):
+            return text if base is str else _WORDS[text.lower()]
+        try:
+            return base(int(text))  # before float(), which gives -0.0 and rounds long ints
+        except ValueError:
+            value = float(text)
+        if base is float or value.is_integer():
+            return base(value)
+    except (KeyError, ValueError, OverflowError):
+        pass
+    raise SpecError(f"{key} must be {base.__name__}, got {text}")
 
 
 def _build(cls, block, section, exclude=(), **given):
@@ -144,15 +131,11 @@ def _build(cls, block, section, exclude=(), **given):
         raise SpecError(f"{section}: {exc}") from None
 
 
-def _as_list(value):
-    return value if isinstance(value, list) else [value]
-
-
 def _warmup_frac(value):
     """value as a float in [0, 1), the leading fraction of a run that summaries leave out."""
     value = float(value)
     if not 0 <= value < 1:
-        raise ValueError(f"warmup_frac must be in [0, 1), got {value}")
+        raise SpecError(f"warmup_frac must be in [0, 1), got {value}")
     return value
 
 
@@ -174,25 +157,23 @@ class ExperimentSpec:
             raise SpecError("at least one [station] block is required")
         self.text = text
         run = {key: top.pop(key) for key in RUN_KEYS if key in top}
-        self.name = str(run.get("name", "experiment"))
-        if self.name in ("", ".", "..") or "/" in self.name or os.sep in self.name:
+        self.name = run.get("name", "experiment")
+        if self.name in ("", ".", "..") or any(c in self.name for c in ("/", os.sep, "\0")):
             raise SpecError(f"name must be one directory name, got {self.name!r}")
-        self.repetitions = _convert(run.get("repetitions", 1), int, "repetitions")
+        self.repetitions = _convert(run.get("repetitions", "1"), int, "repetitions")
         if self.repetitions < 1:
             raise SpecError("repetitions must be >= 1")
-        try:
-            self.warmup_frac = _warmup_frac(_convert(run.get("warmup_frac", DEFAULT_WARMUP_FRAC),
-                                                     float, "warmup_frac"))
-        except ValueError as exc:
-            raise SpecError(exc) from None
-        counts = _as_list(run.get("sweep_sources", run.get("sources", SimConfig.n_sources)))
-        self.source_counts = [_convert(v, int, "sweep_sources") for v in counts]
+        self.warmup_frac = _warmup_frac(_convert(
+            run.get("warmup_frac", str(DEFAULT_WARMUP_FRAC)), float, "warmup_frac"))
+        # the two list keys; every other value, `name` too, is taken whole
+        counts = run.get("sweep_sources", run.get("sources", str(SimConfig.n_sources)))
+        self.source_counts = [_convert(v.strip(), int, "sweep_sources") for v in counts.split(",")]
         if len(set(self.source_counts)) != len(self.source_counts):
             raise SpecError("sweep values must be distinct")
         if min(self.source_counts) < 1:
             raise SpecError(f"source counts must be >= 1, got {min(self.source_counts)}")
-        protocols = _as_list(run.get("protocols", run.get("protocol", SimConfig.protocol)))
-        self.protocols = [str(p) for p in protocols]
+        protocols = run.get("protocols", run.get("protocol", SimConfig.protocol))
+        self.protocols = [p.strip() for p in protocols.split(",")]
         if len(set(self.protocols)) != len(self.protocols):
             raise SpecError("protocols must be distinct")
         for mode in self.protocols:
@@ -420,28 +401,33 @@ def cmd_report(run_dir, warmup_frac=DEFAULT_WARMUP_FRAC):
             print(f"{path.name}: unreadable ({exc})", file=sys.stderr)
             errors += 1
             continue
-        if len({row[0] for row in log_rows}) < 2:  # no span of time to average over
-            rows.append((path.stem, mode, len(log_rows), "", "", "", ""))
-            continue
-        horizon = default_horizon(log_rows[0][0], log_rows[-1][0], warmup_frac)
+        spanned = len({row[0] for row in log_rows}) > 1  # a span of time to average over
         try:
-            if one_way:
-                deliveries = [(r, s, g / 1e9) for r, s, g in log_rows]
-                stats = summarize(deliveries, horizon, payload_bytes)
-                trace = age_trace_from_deliveries([(r, g) for r, _, g in deliveries], horizon)
-                row = (stats.delivered_count, stats.avg_age, stats.avg_delay,
-                       f"{stats.throughput:.0f}", f"{stats.loss_fraction:.4f}")
-                scatter.append((path.stem, stats.avg_delay * 1e3, stats.avg_age * 1e3,
-                                stats.throughput))
-            else:
-                samples = [(t, rtt) for t, _, rtt in log_rows]
-                trace = age_trace_from_rtt_samples(samples, horizon)
-                rtts = [rtt for t, rtt in samples if horizon[0] <= t <= horizon[1]]
-                row = (len(rtts), time_average_age(trace, horizon), statistics.mean(rtts), "", "")
+            if spanned:
+                horizon = default_horizon(log_rows[0][0], log_rows[-1][0], warmup_frac)
+                if one_way:
+                    deliveries = [(r, s, g / 1e9) for r, s, g in log_rows]
+                    stats = summarize(deliveries, horizon, payload_bytes)
+                    trace = age_trace_from_deliveries([(r, g) for r, _, g in deliveries], horizon)
+                    row = (stats.delivered_count, stats.avg_age, stats.avg_delay,
+                           f"{stats.throughput:.0f}", f"{stats.loss_fraction:.4f}")
+                else:
+                    samples = [(t, rtt) for t, _, rtt in log_rows]
+                    trace = age_trace_from_rtt_samples(samples, horizon)
+                    rtts = [rtt for t, rtt in samples if horizon[0] <= t <= horizon[1]]
+                    row = (len(rtts), time_average_age(trace, horizon), statistics.mean(rtts),
+                           "", "")
+            _check_log(log_rows, one_way)
         except ValueError as exc:  # e.g. receive times behind the generation times
             print(f"{path.name}: unusable ({exc})", file=sys.stderr)
             errors += 1
             continue
+        if not spanned:
+            rows.append((path.stem, mode, len(log_rows), "", "", "", ""))
+            continue
+        if one_way:
+            scatter.append((path.stem, stats.avg_delay * 1e3, stats.avg_age * 1e3,
+                            stats.throughput))
         _export_trace(run_dir / f"age_{path.stem}.csv", trace)
         count, age, delay, throughput, loss = row
         rows.append((path.stem, mode, count, f"{age * 1e3:.3f}", f"{delay * 1e3:.3f}",
@@ -462,6 +448,18 @@ def cmd_report(run_dir, warmup_frac=DEFAULT_WARMUP_FRAC):
                    ("session", "throughput_bps", "avg_age_ms"),
                    [(s, f"{t:.0f}", f"{a:.3f}") for s, _, a, t in scatter])
     return 1 if errors else 0
+
+
+def _check_log(log_rows, one_way):
+    """Raise ValueError unless times never fall, seqs rise and no delay or RTT is negative."""
+    last_t = last_seq = -math.inf
+    for t, seq, value in log_rows:
+        delay = t - value / 1e9 if one_way else value
+        if not t >= last_t or seq <= last_seq:
+            raise ValueError(f"seq {seq} at {t} s follows seq {last_seq} at {last_t} s")
+        if not delay >= 0:
+            raise ValueError(f"seq {seq} has {'delay' if one_way else 'rtt'} {delay:.9g} s")
+        last_t, last_seq = t, seq
 
 
 def _export_trace(path, trace):

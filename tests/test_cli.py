@@ -1,6 +1,9 @@
 import csv
+import dataclasses
+import hashlib
 import json
 import os
+import random
 import re
 import select
 import signal
@@ -10,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+import typing
 from pathlib import Path
 
 import pytest
@@ -71,13 +75,14 @@ class TestSpecParsing:
         top, stations, multiaccess = parse_spec(
             "a = 1\nb = 2.5\nc = on\nd = x,y\n[station]\nrate = 1e6\n[multiaccess]\nslot = 1e-4\n"
         )
-        assert top == {"a": 1, "b": 2.5, "c": True, "d": ["x", "y"]}
-        assert stations == [{"rate": 1e6}]
-        assert multiaccess == {"slot": 1e-4}
+        # each value is its stripped text; ExperimentSpec types it by the key it sets
+        assert top == {"a": "1", "b": "2.5", "c": "on", "d": "x,y"}
+        assert stations == [{"rate": "1e6"}]
+        assert multiaccess == {"slot": "1e-4"}
 
     def test_comments_and_blanks_ignored(self):
         top, _, _ = parse_spec("# comment\n\nx = 3  # trailing\n")
-        assert top == {"x": 3}
+        assert top == {"x": "3"}
 
     def test_unknown_section_rejected(self):
         with pytest.raises(SpecError):
@@ -166,6 +171,148 @@ class TestSpecKeys:
         assert spec.warmup_frac == 0.2
 
 
+# The typing that the spec layer used to do, frozen as the reference for the
+# one that replaced it: a type was guessed from the text, then checked
+# against the field the value landed in.
+def _parent_coerce(value):
+    text = value.strip()
+    low = text.lower()
+    if low in ("true", "yes", "on"):
+        return True
+    if low in ("false", "no", "off"):
+        return False
+    if low in ("none", "unbounded"):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _parent_convert(value, kind, key):
+    kinds = typing.get_args(kind) or (kind,)
+    base = kinds[0]
+    if value is None and type(None) in kinds or type(value) is base:
+        return value
+    if base is float and type(value) is int:
+        return float(value)
+    if base is int and type(value) is float and value.is_integer():
+        return int(value)
+    raise SpecError(f"{key} must be {base.__name__}, got {value!r}")
+
+
+def _typed(convert, text, kind):
+    """(type, repr) of the value, which tells -0.0 from 0.0 and matches nan; or "rejected"."""
+    try:
+        value = convert(text, kind)
+    except (ValueError, OverflowError):
+        return "rejected"
+    return type(value), repr(value)
+
+
+def _typing_inputs():
+    rng = random.Random(26)
+    fixed = ["-0", "+5", "5.0", "5.5", "1e3", "1_000", "1_234_567_890_123_456_789_012", "nan",
+             "inf", "-inf", "0x10", "", "1e400", "-0.0", "5.", "abc", "True", "NONE",
+             "true", "yes", "on", "false", "no", "off", "none", "unbounded"]
+    ints = [repr(rng.choice((-1, 1)) * rng.randrange(10 ** rng.randint(1, 30)))
+            for _ in range(600)]
+    floats = [repr(rng.choice((-1.0, 1.0)) * rng.random() * 10.0 ** rng.randint(-30, 30))
+              for _ in range(500)]
+    integral = [repr(float(rng.randrange(10 ** rng.randint(1, 25)))) for _ in range(100)]
+    return fixed + ints + floats + integral
+
+
+@pytest.mark.parametrize("kind", [int, float, bool, int | None])
+def test_spec_typing_matches_the_guess_then_check_it_replaced(kind):
+    def parent(text, kind):
+        return _parent_convert(_parent_coerce(text), kind, "key")
+
+    def new(text, kind):
+        return cli._convert(text, kind, "key")
+    inputs = _typing_inputs()
+    assert len(inputs) > 1000
+    for text in inputs:
+        assert _typed(new, text, kind) == _typed(parent, text, kind), text
+
+
+@pytest.mark.parametrize("name", ["true", "1e3", "none", "a,b"])
+def test_name_is_the_output_directory_and_seed_as_written(name, tmp_path):
+    spec = tmp_path / "named.spec"
+    spec.write_text(f"name = {name}\nduration = 1\n[station]\nrate = 6e6\n")
+    assert cmd_simulate(str(spec), str(tmp_path / "runs")) == 0
+    assert [p.name for p in (tmp_path / "runs").iterdir()] == [name]
+    run = tmp_path / "runs" / name / "sources-001" / "acp+" / "rep00"
+    manifest = json.loads((run / "manifest.json").read_text())
+    seed = hashlib.sha256(f"{name}/0/1/acp+/0".encode()).digest()[:8]
+    assert manifest["seed"] == int.from_bytes(seed, "big")
+    assert manifest["run_id"] == f"{name}/N1/acp+/rep0"
+
+
+# README table header -> the config class whose fields its keys set
+SPEC_TABLES = {"Top-level key": SimConfig, "`[station]` key": StationConfig,
+               "`[multiaccess]` key": MultiaccessConfig}
+
+
+def readme_key_tables():
+    """{table header: {key: its default cell's text}} of the README's spec key tables."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Experiment spec files", 1)[1].split("\n## ", 1)[0]
+    tables = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if not line.startswith("|") or cells[0] == "---":
+            continue
+        if cells[1] == "Default":
+            table = tables[cells[0]] = {}
+            continue
+        default = re.match(r"`([^`]*)`", cells[1])
+        for key in re.findall(r"`(\w+)`", cells[0]):
+            table[key] = default.group(1) if default else cells[1]
+    return tables
+
+
+def spec_with(cls, line):
+    """A spec of defaults (one station at 6e6 b/s, a [multiaccess] block) plus `line`
+    in the section of cls."""
+    sections = {SimConfig: "", MultiaccessConfig: "", StationConfig: "rate = 6e6\n"}
+    sections[cls] += line + "\n"
+    return (f"{sections[SimConfig]}[multiaccess]\n{sections[MultiaccessConfig]}"
+            f"[station]\n{sections[StationConfig]}")
+
+
+def test_readme_key_tables_list_exactly_the_keys_a_spec_takes():
+    tables = readme_key_tables()
+    assert list(tables) == list(SPEC_TABLES)
+    for title, cls in SPEC_TABLES.items():
+        keys = {f.name for f in dataclasses.fields(cls)}
+        keys |= set(cli.RUN_KEYS) if cls is SimConfig else set()
+        assert set(tables[title]) <= keys
+        for key in keys - set(tables[title]):  # a field left out of a table is refused
+            with pytest.raises(SpecError, match=f"unknown key '{key}'"):
+                ExperimentSpec(spec_with(cls, f"{key} = 1"))
+
+
+def test_readme_defaults_are_the_defaults_a_spec_gets():
+    def state(text):
+        return {k: v for k, v in vars(ExperimentSpec(text)).items() if k != "text"}
+    defaults = state(spec_with(SimConfig, ""))
+    for title, cls in SPEC_TABLES.items():
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        for key, default in readme_key_tables()[title].items():
+            if default == "required":
+                continue
+            if key in fields:
+                value = cli._convert(default, fields[key].type, key)
+                field_default = fields[key].default
+                assert (type(value), value) == (type(field_default), field_default), key
+            assert state(spec_with(cls, f"{key} = {default}")) == defaults, key
+
+
 @pytest.mark.parametrize("text, message", [
     ("[weird]\n", "line 1: unknown section [weird]"),
     (TestSpecKeys.MINIMAL.replace("duration", "duraton"), "top level: unknown key 'duraton'"),
@@ -177,6 +324,13 @@ class TestSpecKeys:
     ("name = a/b\n" + TestSpecKeys.MINIMAL, "name must be one directory name, got 'a/b'"),
     ("name = /nonexistent/abs\n" + TestSpecKeys.MINIMAL,
      "name must be one directory name, got '/nonexistent/abs'"),
+    ("name = a\0b\n" + TestSpecKeys.MINIMAL, "name must be one directory name, got 'a\\x00b'"),
+    (TestSpecKeys.MINIMAL + "service = 5\n", "[station 1]: unknown service kind '5'"),
+    ("ack_path = none\n" + TestSpecKeys.MINIMAL, "top level: unknown ack_path 'none'"),
+    ("record_trace = 1\n" + TestSpecKeys.MINIMAL, "top level: record_trace must be bool, got 1"),
+    (TestSpecKeys.MINIMAL + "buffer = 1.5\n", "[station 1]: buffer must be int, got 1.5"),
+    pytest.param(TestSpecKeys.MINIMAL.replace("duration = 2", "duration = 1" + "0" * 400),
+                 "top level: duration must be float, got 1" + "0" * 400, id="int-beyond-float"),
     ("protocols = acp+,tcp\n" + TestSpecKeys.MINIMAL,
      "protocols: unknown mode 'tcp': use acp+, lazy, constant:<rate> or poisson:<rate>"),
     ("protocol = constant:0\n" + TestSpecKeys.MINIMAL,
@@ -608,6 +762,32 @@ def test_report_flags_receive_times_behind_generation_as_unusable(tmp_path, caps
     assert captured.err == ("mon.csv: unusable (horizon starts before the first update "
                             "was generated)\n")
     assert "src_acks" in captured.out and "mon " not in captured.out
+
+
+@pytest.mark.parametrize("write, log, reason", [
+    (write_monitor_log, [(1.0, 0, 500_000_000), (3.0, 1, 1_500_000_000),
+                         (2.0, 2, 1_600_000_000), (4.0, 3, 3_500_000_000)],
+     "seq 2 at 2.0 s follows seq 1 at 3.0 s"),
+    (write_monitor_log, [(1.0 + 0.5 * k, k, round((0.9 + 0.5 * k) * 1e9)) for k in range(6)]
+     + [(4.0, 6, 4_500_000_000), (4.5, 7, 4_400_000_000)], "seq 6 has delay -0.5 s"),
+    (write_monitor_log, [(0.5, 0, 600_000_000)], "seq 0 has delay -0.1 s"),
+    (write_ack_log, [(1.0, 0, 0.1), (2.0, 2, 0.1), (3.0, 1, 0.1), (4.0, 3, 0.1)],
+     "seq 1 at 3.0 s follows seq 2 at 2.0 s"),
+    (write_ack_log, [(1.0, 0, 0.1), (2.0, 1, 0.1), (3.0, 2, -0.2), (4.0, 3, 0.1)],
+     "seq 2 has rtt -0.2 s"),
+    (write_ack_log, [(1.0, 0, 0.1), (1.0, 0, 0.1), (2.0, 1, 0.1)],
+     "seq 0 at 1.0 s follows seq 0 at 1.0 s"),
+])
+def test_report_flags_a_log_out_of_order_or_with_a_negative_delay_as_unusable(
+        tmp_path, capsys, write, log, reason):
+    write(tmp_path / "bad.csv", log)
+    write_monitor_log(tmp_path / "mon.csv",
+                      [(0.1 * k + 0.02, k, round(0.1 * k * 1e9)) for k in range(50)])
+    assert cmd_report(str(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"bad.csv: unusable ({reason})\n"
+    assert [line.split()[0] for line in captured.out.splitlines()[1:]] == ["mon"]
+    assert not (tmp_path / "age_bad.csv").exists() and (tmp_path / "age_mon.csv").exists()
 
 
 def test_report_rtt_rows_cover_the_horizon_only(tmp_path, capsys):
