@@ -30,9 +30,8 @@ from .csvio import (
     ACK_COLUMNS,
     MONITOR_COLUMNS,
     SUMMARY_COLUMNS,
-    read_ack_log,
     read_header,
-    read_monitor_log,
+    read_log,
     write_ack_log,
     write_epoch_log,
     write_monitor_log,
@@ -42,10 +41,10 @@ from .csvio import (
 from .endpoints import parse_mode
 from .metrics import (
     DEFAULT_WARMUP_FRAC,
-    age_trace_from_deliveries,
-    age_trace_from_rtt_samples,
+    age_trace,
     default_horizon,
     jain_fairness,
+    one_way_delays,
     step_average,
     summarize,
     time_average_age,
@@ -226,11 +225,13 @@ def source_rows(network, horizon):
     """
     rows = []
     for source, monitor in zip(network.sources, network.monitors):
-        stats = summarize([(r, seq, g / 1e9) for r, seq, g in monitor.delivery_log], horizon,
+        times, seqs, gen_ts = monitor.delivery_log.columns
+        stats = summarize(times, seqs, one_way_delays(times, gen_ts), horizon,
                           network.cfg.payload_bytes, run_start=0.0)
         times, _, rtts = source.ack_log.columns
         lo, hi = bisect.bisect_left(times, horizon[0]), bisect.bisect_right(times, horizon[1])
-        rows.append({**vars(stats), "backlog": step_average(source.backlog_trace, *horizon),
+        backlog = step_average(*source.backlog_trace.columns, *horizon)
+        rows.append({**vars(stats), "backlog": backlog,
                      "rtt": statistics.fmean(rtts[lo:hi]) if hi > lo else math.nan,
                      "inter_ack": (times[hi - 1] - times[lo]) / (hi - lo - 1)
                      if hi - lo > 1 else math.nan})
@@ -394,42 +395,45 @@ def cmd_report(run_dir, warmup_frac=DEFAULT_WARMUP_FRAC):
     scatter = []
     for path in monitor_files + ack_files:
         one_way = path in monitor_files
-        mode = "one-way" if one_way else "rtt-based"
+        mode, sample = ("one-way", "delay") if one_way else ("rtt-based", "rtt")
         try:
-            log_rows = (read_monitor_log if one_way else read_ack_log)(path)
-        except (ValueError, KeyError, TypeError, OSError) as exc:  # TypeError: short row
+            times, seqs, ages = read_log(path)
+        except (ValueError, OSError) as exc:
             print(f"{path.name}: unreadable ({exc})", file=sys.stderr)
             errors += 1
             continue
-        spanned = len({row[0] for row in log_rows}) > 1  # a span of time to average over
+        if one_way:
+            ages = one_way_delays(times, ages)
+        spanned = len(set(times)) > 1  # a span of time to average over
         try:
+            _check_order(times, seqs)  # the metrics bisect the time column
             if spanned:
-                horizon = default_horizon(log_rows[0][0], log_rows[-1][0], warmup_frac)
+                horizon = default_horizon(times[0], times[-1], warmup_frac)
+                trace = age_trace(times, ages, horizon)
+                age = time_average_age(trace, horizon)
                 if one_way:
-                    deliveries = [(r, s, g / 1e9) for r, s, g in log_rows]
-                    stats = summarize(deliveries, horizon, payload_bytes)
-                    trace = age_trace_from_deliveries([(r, g) for r, _, g in deliveries], horizon)
-                    row = (stats.delivered_count, stats.avg_age, stats.avg_delay,
-                           f"{stats.throughput:.0f}", f"{stats.loss_fraction:.4f}")
+                    stats = summarize(times, seqs, ages, horizon, payload_bytes)
+                    figures = (stats.delivered_count, stats.avg_delay,
+                               f"{stats.throughput:.0f}", f"{stats.loss_fraction:.4f}")
                 else:
-                    samples = [(t, rtt) for t, _, rtt in log_rows]
-                    trace = age_trace_from_rtt_samples(samples, horizon)
-                    rtts = [rtt for t, rtt in samples if horizon[0] <= t <= horizon[1]]
-                    row = (len(rtts), time_average_age(trace, horizon), statistics.mean(rtts),
-                           "", "")
-            _check_log(log_rows, one_way)
+                    lo = bisect.bisect_left(times, horizon[0])
+                    hi = bisect.bisect_right(times, horizon[1])
+                    figures = (hi - lo, statistics.mean(ages[lo:hi]), "", "")
+            # after the summary, which names a horizon behind every generation time
+            for seq, value in zip(seqs, ages):
+                if not value >= 0:
+                    raise ValueError(f"seq {seq} has {sample} {value:.9g} s")
         except ValueError as exc:  # e.g. receive times behind the generation times
             print(f"{path.name}: unusable ({exc})", file=sys.stderr)
             errors += 1
             continue
         if not spanned:
-            rows.append((path.stem, mode, len(log_rows), "", "", "", ""))
+            rows.append((path.stem, mode, len(times), "", "", "", ""))
             continue
+        count, delay, throughput, loss = figures
         if one_way:
-            scatter.append((path.stem, stats.avg_delay * 1e3, stats.avg_age * 1e3,
-                            stats.throughput))
+            scatter.append((path.stem, delay * 1e3, age * 1e3, stats.throughput))
         _export_trace(run_dir / f"age_{path.stem}.csv", trace)
-        count, age, delay, throughput, loss = row
         rows.append((path.stem, mode, count, f"{age * 1e3:.3f}", f"{delay * 1e3:.3f}",
                      throughput, loss))
     header = ("session", "age_mode", "delivered", "avg_age_ms", "avg_delay_ms",
@@ -450,15 +454,12 @@ def cmd_report(run_dir, warmup_frac=DEFAULT_WARMUP_FRAC):
     return 1 if errors else 0
 
 
-def _check_log(log_rows, one_way):
-    """Raise ValueError unless times never fall, seqs rise and no delay or RTT is negative."""
+def _check_order(times, seqs):
+    """Raise ValueError unless times never fall and seqs rise."""
     last_t = last_seq = -math.inf
-    for t, seq, value in log_rows:
-        delay = t - value / 1e9 if one_way else value
+    for t, seq in zip(times, seqs):
         if not t >= last_t or seq <= last_seq:
             raise ValueError(f"seq {seq} at {t} s follows seq {last_seq} at {last_t} s")
-        if not delay >= 0:
-            raise ValueError(f"seq {seq} has {'delay' if one_way else 'rtt'} {delay:.9g} s")
         last_t, last_seq = t, seq
 
 

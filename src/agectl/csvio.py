@@ -46,22 +46,30 @@ def read_header(path):
         return ()
 
 
-def read_monitor_log(path):
-    """(receive_time, seq, gen_ts_ns) rows."""
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append((float(row["receive_time"]), int(row["seq"]), int(row["gen_ts"])))
-    return out
+# the type of each endpoint log column, by its header name
+COLUMN_TYPES = {"receive_time": float, "ack_time": float, "seq": int, "gen_ts": int,
+                "rtt": float}
 
 
-def read_ack_log(path):
-    """(ack_time, seq, rtt_seconds) rows."""
-    out = []
+def read_log(path):
+    """An endpoint log's columns as lists, each typed by its name in the header row.
+
+    A row whose field count is not the header's raises ValueError; blank rows are skipped.
+    """
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append((float(row["ack_time"]), int(row["seq"]), float(row["rtt"])))
-    return out
+        reader = csv.reader(fh)
+        header = next(reader, ())
+        types = [COLUMN_TYPES[name] for name in header]
+        columns = tuple([] for _ in header)
+        for row in reader:
+            if len(row) != len(header):
+                if not row:
+                    continue
+                raise ValueError(f"row {reader.line_num} has {len(row)} fields, "
+                                 f"the header {len(header)}")
+            for column, kind, field in zip(columns, types, row):
+                column.append(kind(field))
+    return columns
 
 
 def ack_csv_path(out_path):

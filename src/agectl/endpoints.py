@@ -50,12 +50,11 @@ TIME, COUNT = "d", "Q"
 class RowLog:
     """Append-only log of numeric triples, kept as one typed array per column.
 
-    It reads back like the list of tuples it replaces: len, iteration, int
-    indexing, `[i:]` slices (as lists), `==` against a list of tuples and
-    that list's repr. Doubles and ints round-trip exactly, so every reader
-    of the list reads the same numbers. A value a column cannot hold (a
-    float seq, a negative count) raises TypeError or OverflowError from
-    append and leaves the log as it was.
+    `columns` is what the metrics read. Rows read back as tuples through
+    len, iteration, int indexing and `[i:]` slices (as lists), and `repr`
+    is that of the list of rows. Doubles and ints round-trip exactly. A
+    value a column cannot hold (a float seq, a negative count) raises
+    TypeError or OverflowError from append and leaves the log as it was.
     """
 
     __slots__ = ("columns",)
@@ -89,11 +88,6 @@ class RowLog:
         if isinstance(index, slice):
             return list(zip(*(column[index] for column in self.columns)))
         return tuple(column[index] for column in self.columns)
-
-    def __eq__(self, other):
-        if isinstance(other, (list, RowLog)):
-            return list(self) == list(other)
-        return NotImplemented
 
     def __repr__(self):
         return repr(list(self))

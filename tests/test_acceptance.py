@@ -22,10 +22,9 @@ import pytest
 
 from agectl.cli import source_rows, sweep_min_age
 from agectl.controller import control_step, update_lambda
-from agectl.csvio import ack_csv_path, read_ack_log, read_monitor_log
+from agectl.csvio import ack_csv_path, read_log
 from agectl.metrics import (
-    age_trace_from_deliveries,
-    age_trace_from_rtt_samples,
+    age_trace,
     default_horizon,
     jain_fairness,
     step_average,
@@ -126,7 +125,7 @@ def test_criterion_3_age_metric_oracle():
         recv = sorted({round(rng.uniform(0.02, 0.98), 5) for _ in range(n)})
         log = [(r, r - round(rng.uniform(0.001, 0.05), 5)) for r in recv]
         horizon = (log[0][0], 1.0)
-        trace = age_trace_from_deliveries(log, horizon)
+        trace = age_trace(recv, [r - g for r, g in log], horizon)
         exact = time_average_age(trace, horizon)
         cells = round((horizon[1] - horizon[0]) / step)
         grid = horizon[0] + (np.arange(cells) + 0.5) * step
@@ -155,11 +154,11 @@ def test_criterion_4a_deterministic_pipeline_exact():
     delays_exact = all(dlv[q] - gen[q] == 3 * service for q in dlv)
     deltas = sorted([(t, +1) for t, _, k, _ in result.trace if k == GENERATED]
                     + [(t, -1) for t, _, k, _ in result.trace if k == DELIVERED])
-    steps, level = [], 0
-    for t, d in deltas:
+    levels, level = [], 0
+    for _, d in deltas:
         level += d
-        steps.append((t, level))
-    occupancy = step_average(steps, 3 * service, 1.0)
+        levels.append(level)
+    occupancy = step_average([t for t, _ in deltas], levels, 3 * service, 1.0)
     report("4a", "deterministic-pipeline", delays_exact and occupancy == 3.0,
            f"{len(dlv)} packets, delay = 3 service times exactly, occupancy {occupancy}")
 
@@ -331,14 +330,12 @@ def test_criterion_8_live_socket_sanity(tmp_path):
     proxy.join()
     assert rc == 0
 
-    acks = read_ack_log(ack_csv_path(src_out))
+    ack_times, _, rtts = read_log(ack_csv_path(src_out))
     horizon = default_horizon(0.0, duration)
-    samples = [(t, rtt) for t, _, rtt in acks]
-    age = time_average_age(age_trace_from_rtt_samples(samples, horizon), horizon)
-    in_horizon = [rtt for t, rtt in samples if t >= horizon[0]]
-    delay = statistics.mean(in_horizon)
-    deliveries = read_monitor_log(mon_out)
-    throughput = len(deliveries) * 1024 * 8 / duration
+    age = time_average_age(age_trace(ack_times, rtts, horizon), horizon)
+    delay = statistics.mean(rtt for t, rtt in zip(ack_times, rtts) if t >= horizon[0])
+    receive_times, _, _ = read_log(mon_out)
+    throughput = len(receive_times) * 1024 * 8 / duration
     ok = (0.110 <= age <= 0.165 and 0.108 <= delay <= 0.120
           and throughput < 5e6)
     report(8, "live-socket-sanity", ok,

@@ -32,8 +32,7 @@ from agectl.cli import (
 )
 from agectl.csvio import (
     ack_csv_path,
-    read_ack_log,
-    read_monitor_log,
+    read_log,
     write_ack_log,
     write_epoch_log,
     write_monitor_log,
@@ -47,6 +46,7 @@ from agectl.netsim import (
     run_simulation,
 )
 from agectl.wire import UpdatePacket, decode_ack, encode_update
+
 
 SPEC_TEXT = """
 name = tiny
@@ -731,6 +731,22 @@ def test_report_flags_a_truncated_log_as_unreadable(tmp_path, capsys):
     assert "src_acks" in captured.out
 
 
+@pytest.mark.parametrize("name, header, last, row", [
+    ("mon", "receive_time,seq,gen_ts", "400000000", "1.0,1,900000000,77"),
+    ("mon", "receive_time,seq,gen_ts", "400000000", "1.0,1"),
+    ("src_acks", "ack_time,seq,rtt", "0.1", "1.0,1,0.1,0.1"),
+])
+def test_report_flags_a_row_with_the_wrong_number_of_fields_as_unreadable(
+        tmp_path, capsys, name, header, last, row):
+    # the log's second data row is its third row, after the header
+    (tmp_path / f"{name}.csv").write_text(f"{header}\r\n0.5,0,{last}\r\n{row}\r\n")
+    assert cmd_report(str(tmp_path)) == 1
+    fields = len(row.split(","))
+    assert capsys.readouterr().err == (f"{name}.csv: unreadable (row 3 has {fields} fields, "
+                                       "the header 3)\n")
+    assert not (tmp_path / f"age_{name}.csv").exists()
+
+
 def report_rows(capsys):
     """session -> the fields of its row in the report table."""
     lines = capsys.readouterr().out.splitlines()[1:]
@@ -777,6 +793,9 @@ def test_report_flags_receive_times_behind_generation_as_unusable(tmp_path, caps
      "seq 2 has rtt -0.2 s"),
     (write_ack_log, [(1.0, 0, 0.1), (1.0, 0, 0.1), (2.0, 1, 0.1)],
      "seq 0 at 1.0 s follows seq 0 at 1.0 s"),
+    # checked before the metrics bisect the times, which here would find no ACK in the horizon
+    (write_ack_log, [(1.0, 0, 0.1), (10.0, 1, 0.1), (3.0, 2, 0.1), (2.0, 3, 0.1)],
+     "seq 2 at 3.0 s follows seq 1 at 10.0 s"),
 ])
 def test_report_flags_a_log_out_of_order_or_with_a_negative_delay_as_unusable(
         tmp_path, capsys, write, log, reason):
@@ -976,7 +995,7 @@ def test_a_signalled_source_exits_130_or_143_with_its_logs(tmp_path):
                 source.kill()
             assert (source.returncode, err) == (status, "")
             assert list(csv.reader(open(out)))[0][0] == "k"
-            assert read_ack_log(ack_csv_path(out)) == []
+            assert read_log(ack_csv_path(out)) == ([], [], [])
 
 
 def test_a_signalled_monitor_exits_130_or_143_with_its_logs(tmp_path):
@@ -1006,4 +1025,4 @@ def test_a_signalled_monitor_exits_130_or_143_with_its_logs(tmp_path):
             finally:
                 monitor.kill()
             assert (monitor.returncode, err) == (status, "")
-            assert [seq for _, seq, _ in read_monitor_log(out)] == acked == [0, 1, 2]
+            assert read_log(out)[1] == acked == [0, 1, 2]

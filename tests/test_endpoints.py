@@ -64,7 +64,7 @@ class TestConstantSource:
         (pkt,) = src.start(0.0)
         assert pkt.seq == 0
         assert src.backlog == 1
-        assert src.backlog_trace == [(0.0, 1)]
+        assert list(src.backlog_trace) == [(0.0, 1)]
 
     def test_tick_interval_is_reciprocal_rate(self):
         src = ConstantSource(rate=100.0)
@@ -126,7 +126,7 @@ class TestAckHandling:
         assert src.on_ack(AckPacket(seq=0, gen_ts=10**12), 0.5) == []
         assert src.on_ack(AckPacket(seq=2, gen_ts=pkts[2].gen_ts + 1), 3.0) == []
         assert src.violations == 2
-        assert src.ack_log == [] and src.backlog == 3
+        assert list(src.ack_log) == [] and src.backlog == 3
         assert src.highest_acked_seq is None
         src.on_ack(ack_for(pkts[1]), 3.0)  # the genuine ACK still counts
         assert src.highest_acked_seq == 1 and src.backlog == 1
@@ -383,7 +383,7 @@ class TestRowLog:
     def test_monitor_keeps_the_wire_extremes_exactly(self):
         mon = Monitor()
         mon.on_update(UpdatePacket(seq=SEQ_MAX, gen_ts=GEN_TS_MAX), 0.1)
-        assert mon.delivery_log == [(0.1, SEQ_MAX, GEN_TS_MAX)]
+        assert list(mon.delivery_log) == [(0.1, SEQ_MAX, GEN_TS_MAX)]
         (row,) = mon.delivery_log
         assert [type(v) for v in row] == [float, int, int]
 
@@ -395,15 +395,13 @@ class TestRowLog:
         ((ack_time, seq, rtt),) = src.ack_log
         assert (ack_time, seq) == (0.75, SEQ_MAX) and rtt == 0.75 - pkt.gen_ts / 1e9
         assert [type(v) for v in src.ack_log[0]] == [float, int, float]
-        assert src.backlog_trace == [(0.5, 1), (0.75, 0)]
+        assert list(src.backlog_trace) == [(0.5, 1), (0.75, 0)]
         assert [type(v) for v in src.backlog_trace[-1]] == [float, int]
 
     def test_reads_back_like_the_list_of_tuples(self):
         log, rows = self.log(), list(self.ROWS)
-        assert len(log) == 3 and list(log) == rows and log == rows and rows == log
+        assert len(log) == 3 and list(log) == rows
         assert repr(log) == repr(rows) and repr(RowLog("d", "Q", "d")) == "[]"
-        assert log != rows[:2] and log != rows + [(2.0, 4, 4)] and log != tuple(rows)
-        assert log == self.log() and log != self.log(rows[:2])
         assert log[0] == rows[0] and log[-1] == rows[-1] and log[-2] == rows[-2]
         for i in range(-4, 5):  # the benchmark's delivery checks slice a monitor's log
             assert log[i:] == rows[i:]
@@ -414,7 +412,7 @@ class TestRowLog:
         log = PairLog("d", "Q")
         for row in [(0.0, 1), (0.5, 2), (0.75, 0)]:
             log.append(row)
-        assert log == [(0.0, 1), (0.5, 2), (0.75, 0)] and log[1:] == [(0.5, 2), (0.75, 0)]
+        assert list(log) == [(0.0, 1), (0.5, 2), (0.75, 0)] and log[1:] == [(0.5, 2), (0.75, 0)]
         assert repr(log) == repr([(0.0, 1), (0.5, 2), (0.75, 0)])
 
     @pytest.mark.parametrize("row, pair, error", [
@@ -427,12 +425,12 @@ class TestRowLog:
         log = self.log()
         with pytest.raises(error):
             log.append(row)
-        assert log == self.ROWS and [len(c) for c in log.columns] == [3, 3, 3]
+        assert list(log) == self.ROWS and [len(c) for c in log.columns] == [3, 3, 3]
         pairs = PairLog("d", "Q")
         pairs.append((1.0, 2))
         with pytest.raises(error):
             pairs.append(pair)
-        assert pairs == [(1.0, 2)] and [len(c) for c in pairs.columns] == [1, 1]
+        assert list(pairs) == [(1.0, 2)] and [len(c) for c in pairs.columns] == [1, 1]
 
 
 def test_parse_mode():

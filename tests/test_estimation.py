@@ -214,7 +214,8 @@ class TestRoll:
 def offline_averages(ack_log, backlog_trace, anchor, t0, t1):
     """The epoch's averages from the full logs, by the offline drivers of the window."""
     trace = (anchor, *((t, rtt) for t, _, rtt in ack_log))
-    return time_average_age(trace, (t0, t1)), step_average(backlog_trace, t0, t1)
+    times, levels = [t for t, _ in backlog_trace], [level for _, level in backlog_trace]
+    return time_average_age(trace, (t0, t1)), step_average(times, levels, t0, t1)
 
 
 def exact_averages(ack_log, backlog_trace, anchor, t0, t1):

@@ -45,11 +45,11 @@ def occupancy_average(trace, src, t0, t1):
     deltas = [(t, +1) for t, s, k, _ in trace if k == GENERATED and s == src]
     deltas += [(t, -1) for t, s, k, _ in trace if k in (DELIVERED, "dropped") and s == src]
     deltas.sort()
-    steps, level = [], 0
-    for t, d in deltas:
+    levels, level = [], 0
+    for _, d in deltas:
         level += d
-        steps.append((t, level))
-    return step_average(steps, t0, t1)
+        levels.append(level)
+    return step_average([t for t, _ in deltas], levels, t0, t1)
 
 
 class TestDeterministicPipeline:
@@ -755,7 +755,7 @@ def test_lazy_sim_backlog_near_one():
     window = 100 * sum(rtts) / len(rtts)
     t = horizon[0]
     while t + window <= horizon[1]:
-        avg = step_average(result.sources[0].backlog_trace, t, t + window)
+        avg = step_average(*result.sources[0].backlog_trace.columns, t, t + window)
         assert 0.5 <= avg <= 1.5
         t += window / 2
 

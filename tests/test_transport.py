@@ -15,11 +15,16 @@ import pytest
 
 import agectl
 from agectl import transport
-from agectl.csvio import ack_csv_path, read_ack_log, read_monitor_log
+from agectl.csvio import ack_csv_path, read_log
 from agectl.transport import ProxyConfig, ProxyStats, run_monitor, run_proxy, run_source
 from agectl.wire import AckPacket, UpdatePacket, decode_ack, decode_update, encode_ack, encode_update
 
 HOST = "127.0.0.1"
+
+
+def read_rows(path):
+    """An endpoint log's rows as tuples."""
+    return list(zip(*read_log(path)))
 
 
 def free_port():
@@ -389,13 +394,13 @@ class TestLiveEndpoints:
         rows = list(csv.reader(open(out)))
         assert rows == [["k", "t_k", "lambda", "action", "b_star", "b_k",
                          "delta_k", "flag", "gamma"]]
-        assert read_ack_log(ack_csv_path(out)) == []
+        assert read_rows(ack_csv_path(out)) == []
 
     def test_monitor_zero_duration(self, tmp_path):
         out = tmp_path / "mon.csv"
         rc = run_monitor(f"{HOST}:{free_port()}", 0.0, str(out))
         assert rc == 0
-        assert read_monitor_log(out) == []
+        assert read_rows(out) == []
 
     def test_monitor_acks_in_order_and_discards_stale(self, tmp_path):
         port = free_port()
@@ -421,7 +426,7 @@ class TestLiveEndpoints:
         acked.append(decode_ack(data).seq)
         t.join()
         assert acked == [0, 2, 3, 4]  # seq 1 was stale: no ack
-        rows = read_monitor_log(out)
+        rows = read_rows(out)
         assert [s for _, s, _ in rows] == [0, 2, 3, 4]
 
     def test_source_against_scripted_monitor(self, tmp_path):
@@ -448,7 +453,7 @@ class TestLiveEndpoints:
         done.set()
         t.join()
         assert rc == 0
-        acks = read_ack_log(ack_csv_path(out))
+        acks = read_rows(ack_csv_path(out))
         assert len(acks) > 100
         assert all(rtt < 0.05 for _, _, rtt in acks)
 
@@ -488,7 +493,7 @@ class TestLiveEndpoints:
                 t.join()
         assert status == {"rc": 0}
         assert made[0].violations == 1
-        acks = read_ack_log(ack_csv_path(out))
+        acks = read_rows(ack_csv_path(out))
         assert acks[0][1] == first.seq and all(0 <= rtt < 1.0 for _, _, rtt in acks)
         assert out.exists()
 
@@ -533,7 +538,7 @@ class TestLiveEndpoints:
         # seq 2**32 does not fit the wire's 32-bit field, so the session ends before it
         assert received == [2**32 - 3, 2**32 - 2, 2**32 - 1]
         assert "session ended early" in caplog.text
-        acks = read_ack_log(ack_csv_path(out))
+        acks = read_rows(ack_csv_path(out))
         assert [seq for _, seq, _ in acks] == [seq for _, seq, _ in made[0].ack_log]
         assert out.exists()
 
@@ -542,7 +547,7 @@ class TestLiveEndpoints:
         # the ICMP port-unreachable replies
         out = tmp_path / "src.csv"
         assert run_source(f"{HOST}:{free_port()}", "constant:200", 0.3, str(out)) == 0
-        assert out.exists() and read_ack_log(ack_csv_path(out)) == []
+        assert out.exists() and read_rows(ack_csv_path(out)) == []
 
     def test_acp_source_on_loopback_rate_clamps(self, tmp_path):
         mon_port = free_port()
@@ -555,7 +560,7 @@ class TestLiveEndpoints:
         rc = run_source(f"{HOST}:{mon_port}", "acp+", 2.2, str(out))
         tm.join()
         assert rc == 0
-        acks = read_ack_log(ack_csv_path(out))
+        acks = read_rows(ack_csv_path(out))
         # the median, not every RTT: one host stall must not fail a loopback run
         assert acks and statistics.median(rtt for _, _, rtt in acks) < 0.05
         rows = list(csv.DictReader(open(out)))
@@ -570,7 +575,7 @@ class TestLiveEndpoints:
             silent.bind((HOST, 0))
             rc = run_source(f"{HOST}:{silent.getsockname()[1]}", "acp+", 0.5, str(out))
         assert rc == 0
-        assert read_ack_log(ack_csv_path(out)) == []
+        assert read_rows(ack_csv_path(out)) == []
 
     def test_a_failed_update_send_is_a_lost_update(self, tmp_path, caplog):
         out = tmp_path / "src.csv"
@@ -579,7 +584,7 @@ class TestLiveEndpoints:
             rc = run_source("255.255.255.255:9", "constant:200", 0.3, str(out))
         assert rc == 0
         assert list(csv.reader(open(out)))[0][0] == "k"
-        assert read_ack_log(ack_csv_path(out)) == []
+        assert read_rows(ack_csv_path(out)) == []
         [warning] = [r.getMessage() for r in caplog.records if "not sent" in r.getMessage()]
         assert int(warning.split()[0]) >= 10  # about 60 sends in 0.3 s, each counted once
 
@@ -601,7 +606,7 @@ class TestLiveEndpoints:
                 time.sleep(0.01)
             t.join()
         assert status == [0]
-        delivered = len(read_monitor_log(out))
+        delivered = len(read_rows(out))
         assert delivered >= 1
         [warning] = [r.getMessage() for r in caplog.records if "not sent" in r.getMessage()]
         assert warning == f"{delivered} datagrams not sent ({delivered} Message too long)"
