@@ -12,7 +12,6 @@ run at a time. argparse is imported by build_parser, so code that imports
 this module as a library does not load it.
 """
 
-import bisect
 import dataclasses
 import hashlib
 import json
@@ -42,6 +41,7 @@ from .endpoints import parse_mode
 from .metrics import (
     DEFAULT_WARMUP_FRAC,
     age_trace,
+    average_age,
     default_horizon,
     jain_fairness,
     one_way_delays,
@@ -219,22 +219,20 @@ def _fmt(value):
 def source_rows(network, horizon):
     """One row of plain numbers per source of a finished run, over `horizon`.
 
-    A row holds metrics.summarize's fields, with the age anchored at the run start, the
-    time-average backlog, and the mean RTT (rtt) and mean gap (inter_ack) of the ACKs
-    inside the horizon, nan when there are too few.
+    A row holds metrics.summarize's fields of the monitor log, the age anchored at the
+    run start, the time-average backlog, and the mean RTT (rtt) and mean gap (inter_ack)
+    from metrics.summarize of the ACK log.
     """
     rows = []
+    payload_bytes = network.cfg.payload_bytes
     for source, monitor in zip(network.sources, network.monitors):
         times, seqs, gen_ts = monitor.delivery_log.columns
-        stats = summarize(times, seqs, one_way_delays(times, gen_ts), horizon,
-                          network.cfg.payload_bytes, run_start=0.0)
-        times, _, rtts = source.ack_log.columns
-        lo, hi = bisect.bisect_left(times, horizon[0]), bisect.bisect_right(times, horizon[1])
-        backlog = step_average(*source.backlog_trace.columns, *horizon)
-        rows.append({**vars(stats), "backlog": backlog,
-                     "rtt": statistics.fmean(rtts[lo:hi]) if hi > lo else math.nan,
-                     "inter_ack": (times[hi - 1] - times[lo]) / (hi - lo - 1)
-                     if hi - lo > 1 else math.nan})
+        delays = one_way_delays(times, gen_ts)
+        acks = summarize(*source.ack_log.columns, horizon, payload_bytes)
+        rows.append({**vars(summarize(times, seqs, delays, horizon, payload_bytes)),
+                     "avg_age": average_age(times, delays, horizon, run_start=0.0),
+                     "backlog": step_average(*source.backlog_trace.columns, *horizon),
+                     "rtt": acks.avg_delay, "inter_ack": acks.avg_inter_delivery})
     return rows
 
 
@@ -404,21 +402,14 @@ def cmd_report(run_dir, warmup_frac=DEFAULT_WARMUP_FRAC):
             continue
         if one_way:
             ages = one_way_delays(times, ages)
-        spanned = len(set(times)) > 1  # a span of time to average over
         try:
             _check_order(times, seqs)  # the metrics bisect the time column
+            spanned = bool(times) and times[0] < times[-1]  # a span of time to average over
             if spanned:
                 horizon = default_horizon(times[0], times[-1], warmup_frac)
                 trace = age_trace(times, ages, horizon)
                 age = time_average_age(trace, horizon)
-                if one_way:
-                    stats = summarize(times, seqs, ages, horizon, payload_bytes)
-                    figures = (stats.delivered_count, stats.avg_delay,
-                               f"{stats.throughput:.0f}", f"{stats.loss_fraction:.4f}")
-                else:
-                    lo = bisect.bisect_left(times, horizon[0])
-                    hi = bisect.bisect_right(times, horizon[1])
-                    figures = (hi - lo, statistics.mean(ages[lo:hi]), "", "")
+                stats = summarize(times, seqs, ages, horizon, payload_bytes)
             # after the summary, which names a horizon behind every generation time
             for seq, value in zip(seqs, ages):
                 if not value >= 0:
@@ -430,12 +421,13 @@ def cmd_report(run_dir, warmup_frac=DEFAULT_WARMUP_FRAC):
         if not spanned:
             rows.append((path.stem, mode, len(times), "", "", "", ""))
             continue
-        count, delay, throughput, loss = figures
+        figures = ("", "")  # throughput and loss are a monitor log's figures
         if one_way:
-            scatter.append((path.stem, delay * 1e3, age * 1e3, stats.throughput))
+            scatter.append((path.stem, stats.avg_delay * 1e3, age * 1e3, stats.throughput))
+            figures = (f"{stats.throughput:.0f}", f"{stats.loss_fraction:.4f}")
         _export_trace(run_dir / f"age_{path.stem}.csv", trace)
-        rows.append((path.stem, mode, count, f"{age * 1e3:.3f}", f"{delay * 1e3:.3f}",
-                     throughput, loss))
+        rows.append((path.stem, mode, stats.delivered_count, f"{age * 1e3:.3f}",
+                     f"{stats.avg_delay * 1e3:.3f}", *figures))
     header = ("session", "age_mode", "delivered", "avg_age_ms", "avg_delay_ms",
               "throughput_bps", "loss_fraction")
     widths = [max(len(str(r[i])) for r in [header] + rows) for i in range(len(header))]

@@ -10,6 +10,10 @@ to at them, and `age_trace` builds the sawtooth from them. A trace is a
 tuple of time-ordered (time, age) points: the age drops to `age` at `time`
 and grows at slope one until the next point. The estimation module's
 EpochWindow integrates it, and every step function, over a horizon.
+
+Each endpoint log is reduced over a horizon in two parts: `summarize` gives
+its count, mean sample, mean gap, throughput and seq-span loss, whichever
+kind of log it is, and `average_age` its time-average age.
 """
 
 import math
@@ -108,53 +112,54 @@ def jain_fairness(values) -> float:
     return (s * s) / (len(values) * sq)
 
 
+def average_age(times, ages, horizon, run_start=None) -> float:
+    """The time-average age over `horizon` of the sawtooth that drops to ages[i] at times[i].
+
+    The age comes from the log whenever a drop precedes the horizon end; with
+    an empty log it is the ramp from `run_start`, and otherwise nan.
+    """
+    t0, t1 = horizon
+    if times and times[0] <= t1:
+        # the full log, so the pre-horizon trajectory anchors the trace
+        return time_average_age(age_trace(times, ages, horizon, run_start), horizon)
+    if not times and run_start is not None:
+        return (t0 + t1) / 2 - run_start
+    return math.nan
+
+
 @dataclass(frozen=True)
 class SummaryStats:
-    avg_age: float  # seconds; nan when no age is known (see summarize)
-    avg_delay: float
+    """One endpoint log over a horizon; nan where there are too few entries.
+
+    For a monitor log an entry is a delivery and its sample the one-way
+    delay. For an ACK log an entry is an ACK and its sample the RTT, so
+    avg_delay is the mean RTT and avg_inter_delivery the mean inter-ACK gap.
+    """
+
+    avg_delay: float  # mean sample, seconds
     throughput: float  # payload bits per second
     avg_inter_delivery: float
     delivered_count: int
-    loss_fraction: float
+    loss_fraction: float  # of the seq span inside the horizon
 
 
-def summarize(times, seqs, delays, horizon, payload_bytes: int, run_start=None) -> SummaryStats:
-    """Run-level statistics over one source's deliveries within a horizon.
+def summarize(times, seqs, samples, horizon, payload_bytes: int) -> SummaryStats:
+    """One endpoint log within a horizon: count, mean sample and gap, throughput and loss.
 
-    times, seqs, delays: a monitor log's columns, with each delivery's
-    one-way delay in seconds. Updates sent are estimated from the seq span,
-    so superseded and lost ones count as losses. The age comes from the log
-    whenever a delivery precedes the horizon end; with an empty log it is
-    the ramp from `run_start`, and otherwise nan.
+    times, seqs, samples: a log's columns, with each entry's sample in
+    seconds. Entries sent are estimated from the seq span, so superseded and
+    lost ones count as losses.
     """
     t0, t1 = horizon
     lo, hi = bisect_left(times, t0), bisect_right(times, t1)
-    if times and times[0] <= t1:
-        # the full log, so the pre-horizon trajectory anchors the trace
-        avg_age = time_average_age(age_trace(times, delays, horizon, run_start), horizon)
-    elif not times and run_start is not None:
-        avg_age = (t0 + t1) / 2 - run_start
-    else:
-        avg_age = math.nan
     delivered = hi - lo
     if not delivered:
-        return SummaryStats(
-            avg_age=avg_age, avg_delay=math.nan, throughput=0.0,
-            avg_inter_delivery=math.nan, delivered_count=0, loss_fraction=math.nan,
-        )
-    avg_delay = sum(delays[lo:hi]) / delivered
+        return SummaryStats(avg_delay=math.nan, throughput=0.0, avg_inter_delivery=math.nan,
+                            delivered_count=0, loss_fraction=math.nan)
+    avg_delay = sum(samples[lo:hi]) / delivered
     throughput = delivered * payload_bytes * 8 / (t1 - t0)
-    if delivered > 1:
-        avg_inter_delivery = (times[hi - 1] - times[lo]) / (delivered - 1)
-    else:
-        avg_inter_delivery = math.nan
+    avg_gap = (times[hi - 1] - times[lo]) / (delivered - 1) if delivered > 1 else math.nan
     sent_count = seqs[hi - 1] - seqs[lo] + 1  # seq span within the horizon
     loss_fraction = 1.0 - delivered / sent_count if sent_count else math.nan
-    return SummaryStats(
-        avg_age=avg_age,
-        avg_delay=avg_delay,
-        throughput=throughput,
-        avg_inter_delivery=avg_inter_delivery,
-        delivered_count=delivered,
-        loss_fraction=loss_fraction,
-    )
+    return SummaryStats(avg_delay=avg_delay, throughput=throughput, avg_inter_delivery=avg_gap,
+                        delivered_count=delivered, loss_fraction=loss_fraction)

@@ -5,9 +5,10 @@ by looking them up by name (`instrument()`), and the live workload swaps
 `transport.make_source` and `transport.Monitor`. A refactor that renames or
 removes one of them breaks the benchmark without failing any other test.
 This runs `instrument()` around one small simulation and its run summary,
-checks that every layer it patches was entered (the summary enters
-`cli.summarize`, which the traced run reports as `metrics.summarize.s`),
-and that `restore()` puts the originals back.
+checks that every layer it patches was entered, and that `restore()` puts
+the originals back. The summary enters `cli.summarize` once per endpoint
+log, the monitor's and the ACK log of each source, so the traced run's
+`metrics.summarize.s` is both logs' figures and holds no age integral.
 A short loopback session checks that the live endpoints look up each name
 the benchmark swaps or wraps on `transport` at call time, not at import.
 The stations schedule no events of their own, so the `netsim.station` span
@@ -61,6 +62,7 @@ def test_instrument_spans_every_layer_and_restores():
         tracer.restore()
     totals = tracer.totals()
     assert [span for span in SPANS if totals.get(span, (0,))[0] == 0] == []
+    assert totals["metrics.summarize"][0] == 2 * small_config().n_sources
     assert totals.get("netsim.station", (0,))[0] == 0
     assert hasattr(netsim, "StationQueue")
     assert [getattr(owner, name) for owner, name in patched] == originals

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import agectl
-from agectl import cli
+from agectl import cli, metrics
 from agectl.cli import (
     ExperimentSpec,
     SpecError,
@@ -46,6 +46,7 @@ from agectl.netsim import (
     run_simulation,
 )
 from agectl.wire import UpdatePacket, decode_ack, encode_update
+from test_golden import SPEC as GOLDEN_SPEC
 
 
 SPEC_TEXT = """
@@ -454,6 +455,27 @@ class TestSimulateCommand:
         assert (run / "age_acks_000.csv").exists()
         assert cmd_report(str(run)) == 0
         assert capsys.readouterr().out == first
+
+
+def test_report_integrates_each_spanned_log_once(tmp_path, monkeypatch):
+    # the golden acp+ run: 12 monitor and 12 ACK logs, each spanning time, so
+    # one age window per log and none for its summary
+    spec = tmp_path / "spec.txt"
+    spec.write_text(GOLDEN_SPEC)
+    assert cmd_simulate(str(spec), str(tmp_path / "runs")) == 0
+    run_dir = tmp_path / "runs" / "golden" / "sources-012" / "acp+" / "rep00"
+    opened = []
+    window = metrics.EpochWindow
+
+    def counting(*args):
+        opened.append(args)
+        return window(*args)
+
+    monkeypatch.setattr(metrics, "EpochWindow", counting)
+    assert cmd_report(str(run_dir)) == 0
+    logs = [*run_dir.glob("monitor_*.csv"), *run_dir.glob("acks_*.csv")]
+    assert len(logs) == 24
+    assert len(opened) == len(logs)
 
 
 LOSSY_SPEC = """

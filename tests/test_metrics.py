@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from agectl.metrics import (
     age_trace,
+    average_age,
     default_horizon,
     jain_fairness,
     step_average,
@@ -226,6 +227,11 @@ def summarize_rows(rows, horizon, **kw):
     return summarize(times, seqs, [r - g for r, _, g in rows], horizon, **kw)
 
 
+def average_age_rows(rows, horizon, run_start=None):
+    """average_age over (receive_time, seq, gen_ts) rows in seconds."""
+    return average_age([r for r, _, _ in rows], [r - g for r, _, g in rows], horizon, run_start)
+
+
 class TestSummarize:
     def test_throughput_arithmetic(self):
         # 100 deliveries of 1024-byte payloads in one second
@@ -241,35 +247,46 @@ class TestSummarize:
         stats = summarize_rows(log, (0.0, 1.0), payload_bytes=100)
         assert stats.loss_fraction == pytest.approx(1 - 3 / 4)
 
+    def test_an_ack_log_gives_its_mean_rtt_and_inter_ack_gap(self):
+        # (ack_time, seq, rtt): the ACK at 0.5 s precedes the horizon
+        times, seqs, rtts = [0.5, 1.0, 1.5, 2.5], [0, 1, 3, 4], [0.2, 0.1, 0.3, 0.2]
+        stats = summarize(times, seqs, rtts, (1.0, 3.0), payload_bytes=100)
+        assert stats.delivered_count == 3
+        assert stats.avg_delay == pytest.approx(0.2)
+        assert stats.avg_inter_delivery == pytest.approx(0.75)
+
+
+class TestAverageAge:
+    # each case pairs the horizon's age with summarize's figures of the same rows
     def test_empty_horizon_flags_no_deliveries(self):
-        stats = summarize_rows([(5.0, 0, 4.9)], (0.0, 1.0), payload_bytes=100)
-        assert stats.delivered_count == 0
-        assert math.isnan(stats.avg_age)
+        log = [(5.0, 0, 4.9)]
+        assert summarize_rows(log, (0.0, 1.0), payload_bytes=100).delivered_count == 0
+        assert math.isnan(average_age_rows(log, (0.0, 1.0)))
 
     def test_deliveries_all_before_the_horizon_give_the_age_from_the_log(self):
         log = [(0.2, 0, 0.1), (0.5, 1, 0.4)]
-        stats = summarize_rows(log, (1.0, 2.0), payload_bytes=100, run_start=0.0)
+        stats = summarize_rows(log, (1.0, 2.0), payload_bytes=100)
         # the age continues from the last delivery: 0.6 at t = 1, 1.6 at t = 2
-        assert stats.avg_age == pytest.approx(1.1)
+        assert average_age_rows(log, (1.0, 2.0), run_start=0.0) == pytest.approx(1.1)
         assert stats.delivered_count == 0 and stats.throughput == 0.0
         assert math.isnan(stats.avg_delay)
 
     def test_empty_log_with_run_start_is_the_ramp_from_it(self):
-        stats = summarize_rows([], (1.0, 3.0), payload_bytes=100, run_start=0.5)
-        assert stats.avg_age == pytest.approx(1.5)  # t - 0.5 averaged over [1, 3]
-        assert stats.delivered_count == 0
+        # t - 0.5 averaged over [1, 3]
+        assert average_age_rows([], (1.0, 3.0), run_start=0.5) == pytest.approx(1.5)
+        assert summarize_rows([], (1.0, 3.0), payload_bytes=100).delivered_count == 0
 
     def test_empty_log_without_run_start_has_no_age(self):
-        assert math.isnan(summarize_rows([], (1.0, 3.0), payload_bytes=100).avg_age)
+        assert math.isnan(average_age_rows([], (1.0, 3.0)))
 
     def test_run_start_anchors_age_when_first_updates_were_lost(self):
         rows = [(1.25, 1, 1.0), (2.25, 2, 2.0)]
         with pytest.raises(ValueError):
-            summarize_rows(rows, (0.75, 3.0), payload_bytes=100)
-        stats = summarize_rows(rows, (0.75, 3.0), payload_bytes=100, run_start=0.0)
+            average_age_rows(rows, (0.75, 3.0))
         # ramps 0.75 -> 1.25, 0.25 -> 1.25 and 0.25 -> 1.0
-        assert stats.avg_age == pytest.approx((0.5 + 0.75 + 0.46875) / 2.25)
-        assert stats.delivered_count == 2
+        assert average_age_rows(rows, (0.75, 3.0), run_start=0.0) == pytest.approx(
+            (0.5 + 0.75 + 0.46875) / 2.25)
+        assert summarize_rows(rows, (0.75, 3.0), payload_bytes=100).delivered_count == 2
 
 
 def test_default_horizon_trims_warmup():

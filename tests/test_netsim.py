@@ -7,12 +7,14 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import agectl
 from agectl.cli import source_rows
+from agectl.endpoints import INITIAL_TIMEOUT
 from agectl.metrics import default_horizon, step_average
 from agectl.netsim import (
     DELIVERED,
@@ -36,7 +38,7 @@ from agectl.netsim import (
     run_simulation,
     simulate_station_system_time,
 )
-from agectl.wire import UpdatePacket
+from agectl.wire import ACK_SIZE, UpdatePacket, update_bits
 
 PACKET_BITS = 8 * (19 + 1024)
 
@@ -597,10 +599,10 @@ class TestLoadCurve:
         assert measured == pytest.approx(1.0 / (mu - lam), rel=0.05)
 
 
-def single_source_age(service, rho, seed, duration, mu=1000.0):
-    """Time-average age of Poisson updates at rate rho * mu through one FCFS station."""
+def single_source_age(mode, service, rho, seed, duration, mu=1000.0):
+    """Time-average age of `mode` updates at rate rho * mu through one FCFS station."""
     st = StationConfig(service=service, rate=mu * PACKET_BITS)
-    cfg = SimConfig(stations=(st,), protocol=f"poisson:{rho * mu}", duration=duration,
+    cfg = SimConfig(stations=(st,), protocol=f"{mode}:{rho * mu}", duration=duration,
                     seed=seed, ack_path="instant")
     return source_rows(run_simulation(cfg), default_horizon(0.0, duration))[0]["avg_age"]
 
@@ -620,7 +622,8 @@ class TestMM1AgeOracle:
     @pytest.mark.parametrize("rho, rel_tol", [(0.3, 0.01), (0.53, 0.0075), (0.8, 0.055)])
     def test_average_age_matches_closed_form(self, rho, rel_tol):
         exact = (1 + 1 / rho + rho**2 / (1 - rho)) / 1000.0
-        measured = sum(single_source_age(EXPONENTIAL, rho, seed, 400.0) for seed in (1, 2)) / 2
+        measured = sum(single_source_age("poisson", EXPONENTIAL, rho, seed, 400.0)
+                       for seed in (1, 2)) / 2
         assert measured == pytest.approx(exact, rel=rel_tol)
 
 
@@ -639,8 +642,123 @@ class TestMD1AgeOracle:
     @pytest.mark.parametrize("rho, rel_tol", [(0.3, 0.017), (0.53, 0.0095), (0.8, 0.03)])
     def test_average_age_matches_closed_form(self, rho, rel_tol):
         exact = (1 / (2 * (1 - rho)) + 0.5 + (1 - rho) * math.exp(rho) / rho) / 1000.0
-        measured = single_source_age(DETERMINISTIC, rho, seed=1, duration=200.0)
+        measured = single_source_age("poisson", DETERMINISTIC, rho, seed=1, duration=200.0)
         assert measured == pytest.approx(exact, rel=rel_tol)
+
+
+class TestDM1AgeOracle:
+    """Single-source FCFS D/M/1 age against its closed form.
+
+    Kaul, Yates and Gruteser (INFOCOM 2012): updates at the constant rate
+    lambda through one exponential server of rate mu have time-average age
+    (1/mu)(1/(2 rho) + 1/(1 - beta)), rho = lambda/mu, where beta is the
+    root in (0, 1) of beta = exp(-(1 - beta)/rho). Each case is one 200 s
+    run, about 2.5 s of CPU for the three values of rho. The tolerance is
+    four standard deviations of one run, taken from the spread of 12 runs
+    (seeds 100-111): 0.18%, 0.35% and 0.66% of the closed form at rho =
+    0.3, 0.53 and 0.8, with means within 0.6% of it.
+    """
+
+    @pytest.mark.parametrize("rho, rel_tol", [(0.3, 0.0075), (0.53, 0.014), (0.8, 0.027)])
+    def test_average_age_matches_closed_form(self, rho, rel_tol):
+        beta = 0.0
+        for _ in range(1000):  # a contraction towards the root for rho < 1
+            beta = math.exp(-(1 - beta) / rho)
+        assert beta == pytest.approx(math.exp(-(1 - beta) / rho), abs=1e-15) and beta < 1
+        exact = (1 / (2 * rho) + 1 / (1 - beta)) / 1000.0
+        measured = single_source_age("constant", EXPONENTIAL, rho, seed=1, duration=200.0)
+        assert measured == pytest.approx(exact, rel=rel_tol)
+
+
+def ideal_lazy_age(f, r, horizon):
+    """Time-average age over `horizon` of lazy's sawtooth on a deterministic path, exactly.
+
+    f and r are the one-way delays of an update and of its ACK, as Fractions.
+    Lazy sends at each ACK, so deliveries come at f + kR (k >= 0), R = f + r,
+    and each drops the age to f. Whole periods average f + R/2; the pieces at
+    the horizon's edges are integrated as they fall.
+    """
+    period = f + r
+
+    def phase_integral(x):  # of (u mod R) over [0, x]
+        whole = x // period
+        return whole * period**2 / 2 + (x - whole * period) ** 2 / 2
+
+    t0, t1 = map(Fraction, horizon)
+    return f + (phase_integral(t1 - f) - phase_integral(t0 - f)) / (t1 - t0)
+
+
+def lazy_tandem(n, rate, prop, payload_bytes):
+    """A 60 s lazy run over n deterministic stations with symmetric ACKs, and its exact age."""
+    st = StationConfig(service=DETERMINISTIC, rate=rate, prop_delay=prop)
+    cfg = SimConfig(stations=(st,) * n, protocol="lazy", duration=60.0, seed=1,
+                    payload_bytes=payload_bytes)
+
+    def one_way(bits):
+        return n * (Fraction(bits) / Fraction(rate) + Fraction(prop))
+
+    f, r = one_way(update_bits(payload_bytes)), one_way(8 * ACK_SIZE)
+    horizon = default_horizon(0.0, cfg.duration)
+    return cfg, f, r, horizon, ideal_lazy_age(f, r, horizon)
+
+
+class TestLazyAgeExact:
+    """Lazy's age on a deterministic tandem with symmetric ACKs is f + R/2.
+
+    One update is in flight at a time, so the run is the ideal sawtooth of
+    ideal_lazy_age, up to rounding.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_megabit_tandem_within_three_nanoseconds(self, n):
+        # 1 Mb/s stations with 10 ms of propagation. gen_ts holds whole
+        # nanoseconds, so the smoothed RTT, and with it lazy's guard timer, can
+        # fall due a fraction of a nanosecond before the ACK and send first.
+        # Both effects are checked below to stay within 1 ns, for every drop and
+        # every delivery time. Then the age is off by at most 2 ns wherever the
+        # logged and ideal sawtooths count the same deliveries, and the windows
+        # where they do not, each under 1 ns wide, add at most 1 ns more to the
+        # average: 3 ns in all. Against f + R/2 without the edge pieces, the
+        # error is -1.4e-5 relative at n = 1.
+        cfg, f, r, horizon, exact = lazy_tandem(n, 1e6, 0.01, 1024)
+        result = run_simulation(cfg)
+        times, _, gen_ts = result.monitors[0].delivery_log.columns
+        period = f + r
+        assert max(abs(t - g / 1e9 - f) for t, g in zip(times, gen_ts)) < 1e-9
+        assert max(abs(t - (f + k * period)) for k, t in enumerate(times)) < 1e-9
+        measured = source_rows(result, horizon)[0]["avg_age"]
+        assert abs(measured - exact) < 3e-9
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_lattice_tandem_exact_and_the_ack_runs_before_the_guard(self, n, monkeypatch):
+        # 15-byte payloads over 69,632 b/s stations with 1/128 s of propagation:
+        # f = 3n/256 s and r = 5n/512 s, so every event time is a multiple of
+        # 1/512 s, held exactly as a float and in whole nanoseconds. Each guard
+        # then falls due at the instant of the next ACK, and PRIO_PACKET runs
+        # that ACK first: it sends the next update, and the guard finds nothing due.
+        cfg, f, r, horizon, exact = lazy_tandem(n, 69632.0, 1 / 128, 15)
+        assert (f * 512).denominator == (r * 512).denominator == 1
+        events = []
+        source_in, timer_fire = _Network._source_in, _Network._timer_fire
+
+        def ack_in(net, src, ack):
+            events.append((net.evq.now, "ack"))
+            source_in(net, src, ack)
+
+        def timer(net, src, t):
+            events.append((t, "timer"))
+            timer_fire(net, src, t)
+
+        monkeypatch.setattr(_Network, "_source_in", ack_in)
+        monkeypatch.setattr(_Network, "_timer_fire", timer)
+        result = run_simulation(cfg)
+        acks = {t for t, kind in events if kind == "ack"}
+        # the first guard, which the first ACK supersedes, then one at each later ACK
+        timers = {t for t, kind in events if kind == "timer"}
+        assert timers == (acks - {min(acks)}) | {INITIAL_TIMEOUT}
+        assert events == sorted(events)  # at each shared instant, "ack" ran before "timer"
+        assert max(backlog for _, backlog in result.sources[0].backlog_trace) == 1
+        assert source_rows(result, horizon)[0]["avg_age"] == pytest.approx(exact, rel=1e-12)
 
 
 # _timer_fire pushes on the run below under the previous design, which
