@@ -525,11 +525,12 @@ def _mode(text):
     return text
 
 
-def _address(text):
-    """text as a host:port the live transport can bind or send to."""
+def _address(text, destination=False):
+    """text as a host:port to bind to (port 0: any free port) or, from port 1, to send to."""
     from .transport import _parse_addr
 
-    _parse_addr(text)
+    if _parse_addr(text)[1] == 0 and destination:
+        raise ValueError(f"a destination needs a port in [1, 65535], got {text!r}")
     return text
 
 
@@ -588,8 +589,9 @@ def build_parser():
     p.add_argument("--out", default="runs")
     p.add_argument("--jobs", type=int, default=1)
 
+    destination = _arg_type(lambda text: _address(text, destination=True))
     p = sub.add_parser("source", help="run a live update source")
-    p.add_argument("--peer", type=_arg_type(_address), required=True)
+    p.add_argument("--peer", type=destination, required=True)
     p.add_argument("--mode", type=_arg_type(_mode), default="acp+")
     p.add_argument("--duration", type=_arg_type(_duration), required=True)
     p.add_argument("--payload-bytes", type=int, default=DEFAULT_PAYLOAD_BYTES)
@@ -603,7 +605,7 @@ def build_parser():
 
     p = sub.add_parser("proxy", help="run the delay/loss proxy")
     p.add_argument("--listen", type=_arg_type(_address), required=True)
-    p.add_argument("--forward", type=_arg_type(_address), required=True)
+    p.add_argument("--forward", type=destination, required=True)
     p.add_argument("--delay-ms", type=float, default=0.0)
     p.add_argument("--delay-dist", choices=("constant", "exponential"), default="constant")
     p.add_argument("--loss", type=float, default=0.0)

@@ -260,9 +260,10 @@ class AcpPlusSource(SourceBase):
     """Rate-adaptive source driven by the epoch controller.
 
     One update goes out immediately at session start; the first ACK seeds
-    the rate at one update per measured round trip and opens the first
-    measurement epoch. Before that the source ticks at BOOTSTRAP_RATE, and
-    epochs log `hold` (or `init`) and leave the rate untouched. Later an
+    the rate at one update per measured round trip and restarts the epoch
+    window and both timers from there. Before that the source ticks at
+    BOOTSTRAP_RATE, and epochs log `hold` and leave the rate untouched; the
+    epoch index counts on across the first ACK. Later an
     epoch without any ACK reuses the previous averages, so b_k = delta_k = 0:
     it logs `dec` (or keeps `mdec`) and the rate still moves to
     update_lambda(previous rate, z_bar, rtt_bar, target).
@@ -273,6 +274,10 @@ class AcpPlusSource(SourceBase):
         self.rate = BOOTSTRAP_RATE
         self.in_bootstrap = True
         self.epoch_window = None
+        self.epoch_index = 0
+        self.flag = False  # set by a backlog-up/age-up epoch, cleared by INC or a plain DEC
+        self.gamma = 0  # MDEC escalation level
+        self.prev_age_avg = self.prev_backlog_avg = None
 
     def start(self, now: float) -> list:
         self._open_epochs(now)
@@ -282,11 +287,7 @@ class AcpPlusSource(SourceBase):
         return 1.0 / self.rate
 
     def _open_epochs(self, now):
-        """Restart control at the current rate from now: at start() and at the first ACK."""
-        self.epoch_index = 0
-        self.flag = False  # set by a backlog-up/age-up epoch, cleared by INC or a plain DEC
-        self.gamma = 0  # MDEC escalation level
-        self.prev_age_avg = self.prev_backlog_avg = None
+        """Restart the epoch window and both timers at the current rate: at start and first ACK."""
         self.epoch_window = EpochWindow(now, (now, 0.0))
         self.next_send_time = now + self._gap()
         self.next_epoch_time = now + epoch_length(self.rate)
@@ -356,10 +357,11 @@ def parse_mode(mode: str):
     return kind, value
 
 
-def make_source(mode: str, rng=None, **kw) -> SourceBase:
+def make_source(mode: str, seed=None, **kw) -> SourceBase:
     """Build a source from a mode string (see parse_mode).
 
-    `rng` draws a poisson source's gaps (a fresh random.Random() if None).
+    Only a poisson source draws: its gaps come from random.Random(seed),
+    which a seed of None seeds from the OS, as a live source wants.
     """
     kind, rate = parse_mode(mode)
     if kind == MODE_ACP_PLUS:
@@ -367,5 +369,5 @@ def make_source(mode: str, rng=None, **kw) -> SourceBase:
     if kind == MODE_LAZY:
         return LazySource(**kw)
     if kind == MODE_POISSON:
-        return ConstantSource(rate, rng=rng or random.Random(), **kw)
+        return ConstantSource(rate, rng=random.Random(seed), **kw)
     return ConstantSource(rate, **kw)

@@ -21,9 +21,11 @@ of the hops are written ahead of time and sorted by time when the run ends.
 
 Every random stream is derived from (seed, entity id), so adding a source
 or station never perturbs the draws of the others, and identical
-(config, seed) pairs replay identical event traces. Only the streams a run
-draws from are seeded: a source's for poisson gaps, a station's for
-exponential service and the channel's loss streams for a nonzero loss.
+(config, seed) pairs replay identical event traces. The network only
+names the streams of sources and stations (`{seed}/source/{i}`,
+`{seed}/station/{idx}/{direction}`). Each part seeds a stream only if it
+draws from it: `make_source` for poisson gaps, `StationQueue` for
+exponential service and the channel for backoff and a nonzero loss.
 """
 
 import heapq
@@ -33,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .endpoints import MODE_POISSON, Monitor, make_source, parse_mode
+from .endpoints import Monitor, make_source
 from .estimation import DEFAULT_SMOOTHING
 from .metrics import DEFAULT_WARMUP_FRAC
 from .wire import ACK_SIZE, DEFAULT_PAYLOAD_BYTES, UpdatePacket, update_bits
@@ -176,11 +178,14 @@ class StationQueue:
     departure = max(arrival, previous departure) + service. The hop keeps
     the departure times of the packets still inside (in service or queued).
     A departure at time t frees its buffer slot for an arrival at t.
+
+    Only exponential service draws, in FIFO order, from random.Random(seed);
+    a seed of None seeds from the OS.
     """
 
-    def __init__(self, cfg: StationConfig, rng):
+    def __init__(self, cfg: StationConfig, seed=None):
         self.cfg = cfg
-        self.rng = rng  # service draws, in FIFO order
+        self.rng = random.Random(seed) if cfg.service == EXPONENTIAL else None
         self.departures = deque()
         self.dropped = 0
 
@@ -394,24 +399,15 @@ class _Network:
         self.ack_bits = ACK_SIZE * 8
 
         seed = cfg.seed
-        self.sources = []
-        for i in range(cfg.n_sources):
-            mode = cfg.mode_for(i)
-            poisson = parse_mode(mode)[0] == MODE_POISSON  # the only kind that draws
-            rng = random.Random(f"{seed}/source/{i}") if poisson else None
-            self.sources.append(make_source(mode, rng=rng, payload_bytes=cfg.payload_bytes,
-                                            alpha=cfg.alpha))
+        self.sources = [make_source(cfg.mode_for(i), f"{seed}/source/{i}",
+                                    payload_bytes=cfg.payload_bytes, alpha=cfg.alpha)
+                        for i in range(cfg.n_sources)]
         self.monitors = [Monitor() for _ in range(cfg.n_sources)]
         self.timer_at = [math.inf] * cfg.n_sources  # time of each source's live timer event
 
-        def hop(idx, direction):
-            st = cfg.stations[idx]
-            rng = (random.Random(f"{seed}/station/{idx}/{direction}")
-                   if st.service == EXPONENTIAL else None)
-            return StationQueue(st, rng)
-
         # forward: multiaccess -> stations -> monitor
-        self.fwd_hops = [hop(idx, "fwd") for idx in range(len(cfg.stations))]
+        self.fwd_hops = [StationQueue(st, f"{seed}/station/{idx}/fwd")
+                         for idx, st in enumerate(cfg.stations)]
         self.channel = None
         if cfg.multiaccess is not None:
             self.channel = MultiaccessChannel(
@@ -422,10 +418,10 @@ class _Network:
         # reverse, for ACKs: stations reversed, then the downlink; None is instant
         self.rev_hops = None
         if cfg.ack_path == "symmetric":
-            self.rev_hops = [hop(idx, "rev") for idx in reversed(range(len(cfg.stations)))]
+            self.rev_hops = [StationQueue(st, f"{seed}/station/{idx}/rev")
+                             for idx, st in enumerate(cfg.stations)][::-1]
             if cfg.multiaccess is not None:
-                downlink = StationConfig(rate=cfg.multiaccess.link_rate)
-                self.rev_hops.append(StationQueue(downlink, None))
+                self.rev_hops.append(StationQueue(StationConfig(rate=cfg.multiaccess.link_rate)))
 
     # -- trace and accounting hooks
 
@@ -566,7 +562,7 @@ def simulate_station_system_time(station_cfg, arrival_rate, packets, seed=0,
     if packets < 1:
         raise ValueError(f"packets must be >= 1, got {packets}")
     arrivals = random.Random(f"{seed}/arrivals")
-    hop = StationQueue(station_cfg, random.Random(f"{seed}/service"))
+    hop = StationQueue(station_cfg, f"{seed}/service")
     skip = int(packets * DEFAULT_WARMUP_FRAC)
     t, total, counted = 0.0, 0.0, 0
     for n in range(packets):

@@ -690,6 +690,29 @@ def test_a_malformed_address_is_a_usage_error_before_any_socket(argv, flag, addr
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, flag, address", [
+    (["source", "--peer", "127.0.0.1:0", "--mode", "constant:50", "--out", "p.csv"],
+     "--peer", "127.0.0.1:0"),
+    (["proxy", "--listen", "127.0.0.1:0", "--forward", ":0"], "--forward", ":0"),
+])
+def test_a_destination_port_of_0_is_a_usage_error_before_any_socket(argv, flag, address,
+                                                                    tmp_path, capsys,
+                                                                    monkeypatch):
+    from agectl import transport
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(transport, "_bound_socket", lambda addr: pytest.fail("socket bound"))
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--duration", "0.3"])
+    assert exc.value.code == 2
+    assert (f"argument {flag}: a destination needs a port in [1, 65535], got {address!r}"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+    # a listen port of 0 is any free port, and still parses
+    assert build_parser().parse_args(["monitor", "--listen", ":0", "--duration", "0",
+                                      "--out", "m.csv"]).listen == ":0"
+
+
 @pytest.mark.parametrize("argv", [
     ["monitor", "--listen", "127.0.0.1:0", "--duration", "0.2"],
     ["source", "--peer", "127.0.0.1:1", "--duration", "0.2"],

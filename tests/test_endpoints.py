@@ -252,6 +252,20 @@ class TestAcpPlusSource:
         assert [row[1] for row in src.epoch_rows] == [10.0, 20.0, 30.0]
         assert src.next_seq == 31  # a send each second, after the epoch close on a tie
 
+    def test_epoch_index_counts_on_across_the_first_ack(self):
+        # bootstrap epochs close at 10 and 20 s; the first ACK at 25.05 s
+        # restarts the window and the timers, not the epoch count
+        src = AcpPlusSource()
+        (p0,) = src.start(0.0)
+        while src.deadline() < 25.05:
+            src.fire(src.deadline())
+        src.on_ack(ack_for(p0), 25.05)
+        while len(src.epoch_rows) < 6:
+            src.fire(src.deadline())
+        assert [row[0] for row in src.epoch_rows] == [0, 1, 2, 3, 4, 5]
+        assert [row[1] for row in src.epoch_rows[:2]] == [10.0, 20.0]
+        assert src.epoch_rows[2][1] == pytest.approx(25.05 + 10 * 25.05)
+
     def test_stalled_epoch_after_control_starts_reuses_averages(self):
         src = self.drive_to_first_ack(rtt=0.1)
         now = 0.1
@@ -454,8 +468,8 @@ def poisson_deadlines(src, n):
     return deadlines
 
 
-def test_poisson_mode_draws_exponential_gaps_from_rng():
-    src = make_source("poisson:1000", rng=random.Random(3))
+def test_poisson_mode_draws_exponential_gaps_from_its_seed():
+    src = make_source("poisson:1000", seed=3)
     assert isinstance(src, ConstantSource) and src.rate == 1000.0
     deadlines = poisson_deadlines(src, 2000)
     draws = random.Random(3)
@@ -464,7 +478,7 @@ def test_poisson_mode_draws_exponential_gaps_from_rng():
         expected.append(expected[-1] + draws.expovariate(1000.0))
     assert deadlines[:3] == expected[1:]
     assert deadlines[-1] / len(deadlines) == pytest.approx(1e-3, rel=0.1)
-    # without an rng it seeds its own, so a live source can run it
+    # without a seed it seeds from the OS, so a live source can run it
     live = poisson_deadlines(make_source("poisson:1000"), 20)
     gaps = [b - a for a, b in zip([0.0] + live, live)]
     assert len(set(gaps)) == 20 and min(gaps) > 0
@@ -494,7 +508,7 @@ class SourceContract(RuleBasedStateMachine):
     @initialize(mode=st.sampled_from(["constant:50", "poisson:50", "lazy", "acp+"]),
                 seed=st.integers(0, 2**32))
     def start(self, mode, seed):
-        self.src = make_source(mode, rng=random.Random(seed))
+        self.src = make_source(mode, seed=seed)
         self.now = 0.0
         self.sent = self.src.start(0.0)
 

@@ -102,6 +102,45 @@ def test_different_seed_changes_trace():
     assert a.trace != b.trace
 
 
+@pytest.fixture
+def stream_seeds(monkeypatch):
+    """The seed of every random.Random made while the test runs, in order."""
+    seeds = []
+
+    class Recorded(random.Random):
+        def __init__(self, seed=None):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(random, "Random", Recorded)
+    return seeds
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.05])
+def test_a_run_seeds_exactly_the_named_streams_of_the_parts_that_draw(stream_seeds, loss):
+    # of four modes only poisson draws, of two stations only the exponential one,
+    # in each direction; the channel draws backoff always and loss when it has one
+    stations = (StationConfig(rate=2e6, prop_delay=1e-3),
+                StationConfig(rate=2e6, service=EXPONENTIAL))
+    cfg = SimConfig(stations=stations, n_sources=4, protocol="acp+,lazy,constant:50,poisson:50",
+                    duration=1.0, seed=9, multiaccess=MultiaccessConfig(per_source_loss=loss))
+    net = run_simulation(cfg)
+    assert min(net.delivered) > 0 and len(net.rev_hops) == 3
+    expected = ["9/source/3", "9/station/1/fwd", "9/station/1/rev"]
+    expected += [f"9/ma/{i}" for i in range(4)]
+    if loss:
+        expected += [f"9/ma-loss/{i}" for i in range(4)]
+    assert sorted(stream_seeds) == sorted(expected)
+
+
+@pytest.mark.parametrize("service, streams", [
+    (DETERMINISTIC, ["3/arrivals"]), (EXPONENTIAL, ["3/arrivals", "3/service"])])
+def test_the_load_probe_seeds_a_service_stream_only_for_exponential_service(stream_seeds,
+                                                                            service, streams):
+    simulate_station_system_time(StationConfig(rate=1e6, service=service), 50.0, 10, seed=3)
+    assert sorted(stream_seeds) == streams
+
+
 class TestMultiaccess:
     def test_uncontended_access_delay_is_frame_time(self):
         ma = MultiaccessConfig(link_rate=12e6)
@@ -449,20 +488,19 @@ class TestStationHop:
     def test_departure_at_t_frees_the_slot_for_an_arrival_at_t(self):
         # 8 bits at 8 bit/s: one second of service, then 0.5 s of propagation
         hop = StationQueue(StationConfig(service=DETERMINISTIC, rate=8.0, buffer=1,
-                                         prop_delay=0.5), None)
+                                         prop_delay=0.5))
         assert hop.enter(0.0, 8) == (0.0, 1.5)
         assert hop.enter(0.999, 8) is None  # the first packet is still in service
         assert hop.enter(1.0, 8) == (1.0, 2.5)  # it departs at 1.0: its slot is free
         assert hop.dropped == 1
 
     def test_packet_waits_for_the_previous_departure(self):
-        hop = StationQueue(StationConfig(service=DETERMINISTIC, rate=8.0), None)
+        hop = StationQueue(StationConfig(service=DETERMINISTIC, rate=8.0))
         assert [hop.enter(t, 8) for t in (0.0, 0.25, 0.5, 4.0)] == [
             (0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (4.0, 5.0)]
 
     def test_exponential_service_is_drawn_in_fifo_order(self):
-        hop = StationQueue(StationConfig(service=EXPONENTIAL, rate=1e3),
-                           random.Random("hop"))
+        hop = StationQueue(StationConfig(service=EXPONENTIAL, rate=1e3), "hop")
         sizes = [800, 80, 8000, 800, 8]
         departures = [hop.enter(0.0, bits)[1] for bits in sizes]  # all queue at t = 0
         reference = random.Random("hop")
