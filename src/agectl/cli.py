@@ -28,7 +28,6 @@ from . import __version__
 from .csvio import (
     ACK_COLUMNS,
     MONITOR_COLUMNS,
-    SUMMARY_COLUMNS,
     read_header,
     read_log,
     write_ack_log,
@@ -139,8 +138,7 @@ def _warmup_frac(value):
 
 
 # top-level keys that shape the sweep; every other one is a SimConfig field
-RUN_KEYS = ("name", "repetitions", "warmup_frac", "sweep_sources", "sources",
-            "protocols", "protocol")
+RUN_KEYS = ("name", "repetitions", "warmup_frac", "sweep_sources", "protocols")
 
 
 class ExperimentSpec:
@@ -165,13 +163,13 @@ class ExperimentSpec:
         self.warmup_frac = _warmup_frac(_convert(
             run.get("warmup_frac", str(DEFAULT_WARMUP_FRAC)), float, "warmup_frac"))
         # the two list keys; every other value, `name` too, is taken whole
-        counts = run.get("sweep_sources", run.get("sources", str(SimConfig.n_sources)))
+        counts = run.get("sweep_sources", str(SimConfig.n_sources))
         self.source_counts = [_convert(v.strip(), int, "sweep_sources") for v in counts.split(",")]
         if len(set(self.source_counts)) != len(self.source_counts):
             raise SpecError("sweep values must be distinct")
         if min(self.source_counts) < 1:
             raise SpecError(f"source counts must be >= 1, got {min(self.source_counts)}")
-        protocols = run.get("protocols", run.get("protocol", SimConfig.protocol))
+        protocols = run.get("protocols", SimConfig.protocol)
         self.protocols = [p.strip() for p in protocols.split(",")]
         if len(set(self.protocols)) != len(self.protocols):
             raise SpecError("protocols must be distinct")
@@ -207,6 +205,12 @@ class ExperimentSpec:
 
 # -- run execution and summaries
 
+# summary.csv's and runs.csv's columns: the run, then the keys of summarize_run's dict
+SUMMARY_COLUMNS = (
+    "run_id", "protocol", "sources", "avg_age_ms", "avg_delay_ms",
+    "throughput_bps", "inter_delivery_ms", "backlog_avg", "fairness",
+    "inter_ack_ms",
+)
 # the summary columns that rollup.csv aggregates: every metric but inter_ack_ms,
 # which would change rollup.csv's layout
 ROLLUP_METRICS = slice(3, 9)
@@ -255,13 +259,13 @@ def summarize_run(result, warmup_frac):
     }
 
 
-def sweep_min_age(base, modes, warmup_frac=DEFAULT_WARMUP_FRAC):
+def sweep_min_age(base, modes):
     """The summarize_run dict of one run of `base` per mode, in order.
 
     The age-minimizing mode is the one with the least avg_age_ms.
     """
-    return [summarize_run(run_simulation(dataclasses.replace(base, protocol=mode)), warmup_frac)
-            for mode in modes]
+    return [summarize_run(run_simulation(dataclasses.replace(base, protocol=mode)),
+                          DEFAULT_WARMUP_FRAC) for mode in modes]
 
 
 def _execute_run(args):
@@ -615,7 +619,7 @@ def build_parser():
 
     p = sub.add_parser("sweep-min-age", help="find the age-minimizing constant rate")
     p.add_argument("--station-rate-bits", type=float, default=8.344e6)
-    p.add_argument("--rates", type=float, nargs="*", default=None)
+    p.add_argument("--rates", type=float, nargs="+", default=None)
     p.add_argument("--duration", type=float, default=60.0)
     p.add_argument("--payload-bytes", type=int, default=DEFAULT_PAYLOAD_BYTES)
     p.add_argument("--seed", type=int, default=0)
@@ -626,7 +630,7 @@ def build_parser():
     p.add_argument("--rate-bits", type=float, default=8.344e6)
     p.add_argument("--rtt-base", type=float, default=0.0)
     p.add_argument("--buffer", type=int, default=None)
-    p.add_argument("--loads", type=float, nargs="*", default=None)
+    p.add_argument("--loads", type=float, nargs="+", default=None)
     p.add_argument("--mode", choices=("analytic", "simulate"), default="analytic")
     p.add_argument("--packets", type=int, default=200_000)
     p.add_argument("--payload-bytes", type=int, default=DEFAULT_PAYLOAD_BYTES)

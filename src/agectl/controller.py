@@ -70,6 +70,3 @@ def update_lambda(prev_rate: float, z_bar: float, rtt_bar: float, target: float)
     lo = RATE_STEP_DOWN * prev_rate
     hi = RATE_STEP_UP * prev_rate
     return min(max(raw, lo), hi)
-
-
-EPOCH_LOG_COLUMNS = ("k", "t_k", "lambda", "action", "b_star", "b_k", "delta_k", "flag", "gamma")

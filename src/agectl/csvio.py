@@ -2,16 +2,10 @@
 
 import csv
 
-from .controller import EPOCH_LOG_COLUMNS
-
 MONITOR_COLUMNS = ("receive_time", "seq", "gen_ts")
 ACK_COLUMNS = ("ack_time", "seq", "rtt")
 TRACE_COLUMNS = ("time", "source_id", "kind", "seq")
-SUMMARY_COLUMNS = (
-    "run_id", "protocol", "sources", "avg_age_ms", "avg_delay_ms",
-    "throughput_bps", "inter_delivery_ms", "backlog_avg", "fairness",
-    "inter_ack_ms",
-)
+EPOCH_LOG_COLUMNS = ("k", "t_k", "lambda", "action", "b_star", "b_k", "delta_k", "flag", "gamma")
 
 
 def write_rows(path, columns, rows):

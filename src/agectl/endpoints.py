@@ -29,7 +29,7 @@ from array import array
 from collections import deque
 
 from .controller import control_step, epoch_length, update_lambda
-from .estimation import DEFAULT_SMOOTHING, EpochWindow, NetworkEstimator
+from .estimation import EpochWindow, NetworkEstimator
 from .wire import DEFAULT_PAYLOAD_BYTES, AckPacket, UpdatePacket
 
 log = logging.getLogger(__name__)
@@ -136,12 +136,12 @@ class Monitor:
 class SourceBase:
     """Shared bookkeeping: sequence space, backlog, estimates, logs."""
 
-    def __init__(self, payload_bytes=DEFAULT_PAYLOAD_BYTES, alpha=DEFAULT_SMOOTHING):
+    def __init__(self, payload_bytes=DEFAULT_PAYLOAD_BYTES):
         self.payload = zero_payload(payload_bytes)
         self.next_seq = 0
         self.outstanding = deque()  # (seq, gen_ts_ns), consecutive ascending seqs
         self.highest_acked_seq = None
-        self.estimator = NetworkEstimator(alpha)
+        self.estimator = NetworkEstimator()
         self.backlog_trace = PairLog(TIME, COUNT)  # (time, backlog) over the whole session
         self.ack_log = RowLog(TIME, COUNT, TIME)  # (ack_time, seq, rtt_seconds)
         self.epoch_rows = []

@@ -2,11 +2,12 @@
 
 Two smoothed quantities are kept per session: the round-trip time of
 acknowledged updates and the gap between consecutive ACK arrivals (a proxy
-for the inter-delivery time at the monitor). Per control epoch, an
-EpochWindow that the source feeds at each send and each ACK gives the
-time-average age and time-average backlog over that epoch, from running
-sums: control never reads the source's logs. The same window integrates
-the offline averages in `metrics`.
+for the inter-delivery time at the monitor). Their smoothing weight is a
+constant of the algorithm, fixed at 0.875 on the previous estimate. Per
+control epoch, an EpochWindow that the source feeds at each send and each
+ACK gives the time-average age and time-average backlog over that epoch,
+from running sums: control never reads the source's logs. The same window
+integrates the offline averages in `metrics`.
 """
 
 DEFAULT_SMOOTHING = 0.875  # retention weight on the previous estimate
@@ -19,8 +20,6 @@ def ewma_update(prev: float, sample: float, alpha: float) -> float:
     """
     if sample < 0:
         raise ValueError(f"negative sample {sample}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if prev is None:
         return sample
     return alpha * prev + (1.0 - alpha) * sample
@@ -32,10 +31,7 @@ class NetworkEstimator:
     Single-writer: only the session's event loop calls record_ack.
     """
 
-    def __init__(self, alpha: float = DEFAULT_SMOOTHING):
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-        self.alpha = alpha
+    def __init__(self):
         self.rtt_bar = None
         self.z_bar = None
         self.last_ack_time = None
@@ -56,9 +52,9 @@ class NetworkEstimator:
         negative one raises ValueError; the gap sample is the time since the
         previous ACK, available from the second ACK on.
         """
-        self.rtt_bar = ewma_update(self.rtt_bar, ack_time - gen_ts, self.alpha)
+        self.rtt_bar = ewma_update(self.rtt_bar, ack_time - gen_ts, DEFAULT_SMOOTHING)
         if self.last_ack_time is not None:
-            self.z_bar = ewma_update(self.z_bar, ack_time - self.last_ack_time, self.alpha)
+            self.z_bar = ewma_update(self.z_bar, ack_time - self.last_ack_time, DEFAULT_SMOOTHING)
         self.last_ack_time = ack_time
 
 

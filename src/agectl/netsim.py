@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .endpoints import Monitor, make_source
-from .estimation import DEFAULT_SMOOTHING
 from .metrics import DEFAULT_WARMUP_FRAC
 from .wire import ACK_SIZE, DEFAULT_PAYLOAD_BYTES, UpdatePacket, update_bits
 
@@ -141,7 +140,6 @@ class SimConfig:
     payload_bytes: int = DEFAULT_PAYLOAD_BYTES
     multiaccess: MultiaccessConfig | None = None
     ack_path: str = "symmetric"  # or "instant"
-    alpha: float = DEFAULT_SMOOTHING
     record_trace: bool = False
 
     def __post_init__(self):
@@ -150,8 +148,6 @@ class SimConfig:
             raise ValueError("at least one station is required")
         if not 0 < self.duration < math.inf:
             raise ValueError("duration must be positive and finite")
-        if not 0 < self.alpha < 1:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.n_sources < 1:
             raise ValueError("need at least one source")
         if self.payload_bytes < 0:
@@ -400,7 +396,7 @@ class _Network:
 
         seed = cfg.seed
         self.sources = [make_source(cfg.mode_for(i), f"{seed}/source/{i}",
-                                    payload_bytes=cfg.payload_bytes, alpha=cfg.alpha)
+                                    payload_bytes=cfg.payload_bytes)
                         for i in range(cfg.n_sources)]
         self.monitors = [Monitor() for _ in range(cfg.n_sources)]
         self.timer_at = [math.inf] * cfg.n_sources  # time of each source's live timer event
@@ -593,8 +589,8 @@ def rtt_vs_load_curve(station_cfg, rtt_base, loads, mode="analytic",
     mu = station_cfg.rate / packet_bits  # packets per second
     out = []
     for load in loads:
-        if not load > 0:
-            raise ValueError(f"loads must be positive, got {load}")
+        if not 0 < load < math.inf:
+            raise ValueError(f"loads must be positive and finite, got {load}")
         if mode == "simulate":
             rtt = rtt_base + simulate_station_system_time(
                 station_cfg, load, packets, seed=f"{seed}/load{load}",

@@ -334,10 +334,10 @@ def test_readme_defaults_are_the_defaults_a_spec_gets():
                  "top level: duration must be float, got 1" + "0" * 400, id="int-beyond-float"),
     ("protocols = acp+,tcp\n" + TestSpecKeys.MINIMAL,
      "protocols: unknown mode 'tcp': use acp+, lazy, constant:<rate> or poisson:<rate>"),
-    ("protocol = constant:0\n" + TestSpecKeys.MINIMAL,
+    ("protocols = constant:0\n" + TestSpecKeys.MINIMAL,
      "protocols: constant mode needs a positive rate, e.g. constant:100, got 'constant:0'"),
     ("sweep_sources = 1,0\n" + TestSpecKeys.MINIMAL, "source counts must be >= 1, got 0"),
-    ("sources = -2\n" + TestSpecKeys.MINIMAL, "source counts must be >= 1, got -2"),
+    ("sweep_sources = -2\n" + TestSpecKeys.MINIMAL, "source counts must be >= 1, got -2"),
     (TestSpecKeys.MINIMAL.replace("slot = 1e-4", "max_backoff_exp = -1"),
      "[multiaccess]: max_backoff_exp must be >= 0"),
     (TestSpecKeys.MINIMAL.replace("slot = 1e-4", "link_rate = 0"),
@@ -355,8 +355,9 @@ def test_readme_defaults_are_the_defaults_a_spec_gets():
      "top level: duration must be positive and finite"),
     (TestSpecKeys.MINIMAL.replace("duration = 2", "duration = inf"),
      "top level: duration must be positive and finite"),
-    ("alpha = 1.5\n" + TestSpecKeys.MINIMAL, "top level: alpha must be in (0, 1), got 1.5"),
-    ("alpha = nan\n" + TestSpecKeys.MINIMAL, "top level: alpha must be in (0, 1), got nan"),
+    ("alpha = 0.875\n" + TestSpecKeys.MINIMAL, "top level: unknown key 'alpha'"),
+    ("sources = 2\n" + TestSpecKeys.MINIMAL, "top level: unknown key 'sources'"),
+    ("protocol = acp+\n" + TestSpecKeys.MINIMAL, "top level: unknown key 'protocol'"),
     (TestSpecKeys.MINIMAL.replace("6e6", "nan"), "[station 1]: station rate must be positive"),
     (TestSpecKeys.MINIMAL + "prop_delay = nan\n",
      "[station 1]: propagation delay must be non-negative"),
@@ -667,6 +668,17 @@ def test_live_duration_must_be_finite_and_not_negative(argv, tmp_path, capsys, m
     assert build_parser().parse_args(argv[:-1] + ["0"]).duration == 0.0
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep-min-age", "--rates", "--duration", "1"], "--rates"),
+    (["rtt-curve", "--loads"], "--loads"),
+])
+def test_a_list_flag_with_no_values_is_a_usage_error(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected at least one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, flag, address", [
     (["monitor", "--listen", "nonsense", "--out", "m.csv"], "--listen", "nonsense"),
     (["monitor", "--listen", "127.0.0.1:99999", "--out", "m.csv"], "--listen", "127.0.0.1:99999"),
@@ -946,8 +958,12 @@ def test_report_warmup_frac_outside_zero_to_one_is_a_usage_error(frac, tmp_path,
     (["proxy", "--delay-ms", "nan"], "proxy: delays must be finite, got nan"),
     (["proxy", "--delay-ms", "inf"], "proxy: delays must be finite, got inf"),
     (["rtt-curve", "--buffer", "0"], "rtt-curve: finite buffer must hold at least one packet"),
-    (["rtt-curve", "--loads", "nan"], "rtt-curve: loads must be positive, got nan"),
-    (["rtt-curve", "--loads", "100", "0"], "rtt-curve: loads must be positive, got 0.0"),
+    (["rtt-curve", "--loads", "nan"], "rtt-curve: loads must be positive and finite, got nan"),
+    (["rtt-curve", "--loads", "100", "0"],
+     "rtt-curve: loads must be positive and finite, got 0.0"),
+    (["rtt-curve", "--loads", "inf"], "rtt-curve: loads must be positive and finite, got inf"),
+    (["rtt-curve", "--mode", "simulate", "--loads", "1e400", "--packets", "100"],
+     "rtt-curve: loads must be positive and finite, got inf"),
     (["rtt-curve", "--rtt-base", "nan"], "rtt-curve: rtt_base must be finite and >= 0, got nan"),
     (["rtt-curve", "--rtt-base", "inf"], "rtt-curve: rtt_base must be finite and >= 0, got inf"),
     (["rtt-curve", "--rtt-base", "-1"], "rtt-curve: rtt_base must be finite and >= 0, got -1.0"),
