@@ -31,6 +31,7 @@ exponential service and the channel for backoff and a nonzero loss.
 import heapq
 import math
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
@@ -264,7 +265,7 @@ class MultiaccessChannel:
                           if cfg.per_source_loss else None)
         self.busy_until = 0.0
         self.serial = 0  # invalidates superseded attempt events
-        self.access_delays = []  # enqueue-to-transmission-end, successes only
+        self.access_delays = array("d")  # enqueue-to-transmission-end, successes only
         self.collisions = 0
         self.lost = 0
 

@@ -19,7 +19,6 @@ import select
 import socket
 import time
 from collections import Counter
-from dataclasses import dataclass
 
 from .csvio import ack_csv_path, write_ack_log, write_epoch_log, write_monitor_log
 from .endpoints import Monitor, make_source
@@ -129,10 +128,11 @@ def _session(socks, duration, stop, lost, on_datagram, deadline=_never,
     Session time is monotonic seconds since entry; `start()` runs at 0.0
     unless `duration` is 0. Until `duration` passes or `stop` is set, each
     pass waits for a datagram or the endpoint's `deadline()`, hands each
-    datagram to `on_datagram(sock, data, addr, now)`, then calls `fire(now)`
-    at a fresh clock read. `lost` counts undecodable datagrams and, through
-    `_send`, refused sends. An update the wire cannot carry ends the session
-    early. However it ends, `finish()` runs and each kind of loss is logged.
+    datagram to `on_datagram(sock, data, addr, now)`, then, if a fresh
+    clock read has reached `deadline()`, calls `fire(now)`. `lost` counts
+    undecodable datagrams and, through `_send`, refused sends. An update
+    the wire cannot carry ends the session early. However it ends,
+    `finish()` runs and each kind of loss is logged.
 
     A session with a `deadline` is timed: it runs with the calling thread's
     timer slack at 1 ns, restored at exit, and it logs at exit how late its
@@ -165,11 +165,10 @@ def _session(socks, duration, stop, lost, on_datagram, deadline=_never,
                         lost[_UNDECODABLE] += 1
                         log.debug("undecodable datagram: %s", exc)
             now = time.monotonic() - t0
-            if timed:
-                due = deadline()
-                if now >= due:
-                    late[int((now - due) * 1e6).bit_length()] += 1
-            fire(now)
+            due = deadline()
+            if now >= due:
+                late[int((now - due) * 1e6).bit_length()] += 1
+                fire(now)
     except OutOfRange as exc:  # the wire's seq space is used up
         log.warning("session ended early: %s", exc)
     finally:
@@ -253,32 +252,32 @@ def run_monitor(listen, duration, out, stop=None):
         return 1
 
 
-@dataclass
 class ProxyConfig:
     """Relay between a source-facing and a monitor-facing UDP socket.
 
-    delay and loss apply in each direction alike. With reorder off, each
-    direction is released strictly FIFO even when sampled delays would
-    overtake.
+    delay (seconds, the mean for EXPONENTIAL) and loss (a probability)
+    apply in each direction alike. With reorder off, each direction is
+    released strictly FIFO even when sampled delays would overtake. A
+    plain class, not a dataclass, so the live modules load no `dataclasses`.
     """
 
-    listen: str
-    forward: str
-    delay: float = 0.0  # seconds each way
-    delay_dist: str = CONSTANT  # or EXPONENTIAL (delay = mean)
-    loss: float = 0.0  # probability each way
-    reorder: bool = False
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.delay < 0:
+    def __init__(self, listen, forward, delay=0.0, delay_dist=CONSTANT, loss=0.0,
+                 reorder=False, seed=None):
+        if delay < 0:
             raise ValueError("delays must be non-negative")
-        if not self.delay < math.inf:
-            raise ValueError(f"delays must be finite, got {self.delay}")
-        if not 0 <= self.loss < 1:
+        if not delay < math.inf:
+            raise ValueError(f"delays must be finite, got {delay}")
+        if not 0 <= loss < 1:
             raise ValueError("loss probability must be in [0, 1)")
-        if self.delay_dist not in (CONSTANT, EXPONENTIAL):
-            raise ValueError(f"unknown delay distribution {self.delay_dist!r}")
+        if delay_dist not in (CONSTANT, EXPONENTIAL):
+            raise ValueError(f"unknown delay distribution {delay_dist!r}")
+        self.listen = listen
+        self.forward = forward
+        self.delay = delay
+        self.delay_dist = delay_dist
+        self.loss = loss
+        self.reorder = reorder
+        self.seed = seed
 
 
 class ProxyStats:

@@ -9,10 +9,16 @@ Both packet kinds ride in single UDP datagrams, big-endian, fixed header:
 round-trip math happens on the sender's clock, so the two ends never need
 synchronized clocks. An ACK echoes the acknowledged update's (seq, gen_ts)
 verbatim.
+
+Packets are namedtuples rather than dataclasses, so the live endpoints
+load no `dataclasses`, nor the `inspect`, `ast` and `dis` it pulls in.
+They are immutable, hashable and equal by value. Being tuples, a packet
+also equals the plain tuple of its fields; an ACK never equals an update,
+whose tuple is one field longer.
 """
 
 import struct
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 UPDATE_MAGIC = b"AGEU"
 ACK_MAGIC = b"AGEA"
@@ -66,29 +72,28 @@ class OutOfRange(WireError):
     """seq (32 bits) or gen_ts (64 bits) does not fit its header field."""
 
 
-@dataclass(frozen=True)
-class UpdatePacket:
+class UpdatePacket(namedtuple("UpdatePacket", "seq gen_ts payload", defaults=(b"",))):
     """A status update: monotone sequence number plus generation timestamp.
 
     `gen_ts` is assigned once, at the generation instant, and never reused;
-    `seq` strictly increases within a source session.
+    `seq` strictly increases within a source session. `repr` leaves out
+    the payload.
     """
 
-    seq: int
-    gen_ts: int
-    payload: bytes = field(default=b"", repr=False)
+    __slots__ = ()
 
     @property
     def payload_len(self) -> int:
         return len(self.payload)
 
+    def __repr__(self):
+        return f"UpdatePacket(seq={self.seq!r}, gen_ts={self.gen_ts!r})"
 
-@dataclass(frozen=True)
-class AckPacket:
+
+class AckPacket(namedtuple("AckPacket", "seq gen_ts")):
     """Acknowledgment echoing one update's (seq, gen_ts) pair."""
 
-    seq: int
-    gen_ts: int
+    __slots__ = ()
 
 
 def encode_update(pkt: UpdatePacket) -> bytes:

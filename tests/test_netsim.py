@@ -224,7 +224,7 @@ def test_countdown_freezes_while_another_frame_is_on_air():
     attempts = [args[1] for _, name, args in clock.pushed if name == "_attempt"]
     assert attempts[-1] == 6 + (7 - 3)
     assert delivered == [(2.5, 0), (5.5, 1), (12.5, 2)]
-    assert channel.access_delays == [2.5, 5.0, 12.0]
+    assert list(channel.access_delays) == [2.5, 5.0, 12.0]
     assert channel.collisions == 0
 
 
@@ -256,7 +256,7 @@ def test_frames_ending_after_the_horizon_are_left_out_of_the_statistics():
     channel.accept(1, UpdatePacket(0, 0))  # attempts in slot 3 too
     clock.run()
     # the slot-3 collision ends at 5.5 and both retries later still
-    assert channel.access_delays == [2.5]
+    assert list(channel.access_delays) == [2.5]
     assert channel.collisions == 0
 
 
@@ -365,7 +365,7 @@ def drive_channel(make, n_sources, persistence, max_backoff_exp, seed):
             seqs[src] += 1
     # colliders at p = 1 with no backoff window collide for ever: stop the clock
     evq.run_until(1.0)
-    return delivered, channel.collisions, channel.access_delays
+    return delivered, channel.collisions, list(channel.access_delays)
 
 
 @pytest.mark.parametrize("max_backoff_exp", [0, 3, 5, 10])

@@ -337,16 +337,49 @@ class TestTimerSlack:
         assert timer_slack() == before
 
 
-def test_importing_the_cli_and_transport_loads_no_ctypes():
-    # only a timed session needs ctypes; the CLI's start-up does not pay for it
+def modules_loaded_by(statement):
+    """Names that `statement` adds to sys.modules in a fresh interpreter."""
     probe = ("import sys\n"
              "before = set(sys.modules)\n"
-             "import agectl.cli, agectl.transport\n"
-             "print(sorted(name for name in set(sys.modules) - before if 'ctypes' in name))\n")
+             f"{statement}\n"
+             "print(*sorted(set(sys.modules) - before))\n")
     src = str(Path(agectl.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
-    assert out == "[]\n"
+    return set(out.split())
+
+
+def test_importing_the_cli_and_transport_loads_no_ctypes():
+    # only a timed session needs ctypes; the CLI's start-up does not pay for it
+    loaded = modules_loaded_by("import agectl.cli, agectl.transport")
+    assert "agectl.transport" in loaded
+    assert not [name for name in loaded if "ctypes" in name]
+
+
+def test_importing_transport_loads_no_dataclasses():
+    # packets and ProxyConfig are plain classes, so the live path skips
+    # dataclasses and the inspect and ast modules it pulls in
+    loaded = modules_loaded_by("import agectl.transport")
+    assert "agectl.transport" in loaded
+    assert not {"dataclasses", "inspect"} & loaded
+
+
+def test_a_session_fires_only_when_its_deadline_is_due():
+    calls = Counter()
+
+    def on_datagram(sock, data, addr, now):
+        calls["datagram"] += 1
+
+    def fire(now):
+        calls["fire"] += 1
+
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as client, \
+            transport._bound_socket((HOST, 0)) as sock:
+        client.sendto(b"early", sock.getsockname())  # waits in the buffer for the first pass
+        transport._session([sock], 0.4, None, Counter(), on_datagram,
+                           deadline=lambda: 0.1 if calls["fire"] == 0 else math.inf,
+                           fire=fire)
+    assert calls == {"datagram": 1, "fire": 1}
 
 
 def test_timer_lateness_is_logged_once_per_timed_session(tmp_path, monkeypatch, caplog):

@@ -120,3 +120,17 @@ def test_fields_out_of_range_raise_a_wire_error(seq, gen_ts):
 
 def test_update_bits_counts_header_and_payload():
     assert update_bits(1024) == 8 * (UPDATE_HEADER_SIZE + 1024) == 8344
+
+
+def test_packets_are_immutable_values():
+    pkt = UpdatePacket(seq=3, gen_ts=7, payload=b"secret")
+    same = UpdatePacket(seq=3, gen_ts=7, payload=b"secret")
+    assert pkt == same and len({pkt, same}) == 1
+    assert len({AckPacket(3, 7), AckPacket(seq=3, gen_ts=7)}) == 1
+    for packet in (pkt, AckPacket(3, 7)):
+        with pytest.raises(AttributeError):
+            packet.seq = 4
+    assert repr(pkt) == "UpdatePacket(seq=3, gen_ts=7)"
+    assert UpdatePacket(3, 7).payload == b"" and UpdatePacket(3, 7).payload_len == 0
+    assert AckPacket(3, 7) != UpdatePacket(3, 7)
+    assert UpdatePacket(3, 7) != AckPacket(3, 7)
